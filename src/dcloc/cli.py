@@ -98,6 +98,8 @@ def _write_trajectory(path: str, trajectory, dim: int) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.starts < 1:
+        raise instance_io.ValidationError(f"--starts must be at least 1, got {args.starts}")
     inst = _load_solve_instance(args)
     warnings = validate_instance(inst)
     cfg = dca.DcaConfig(
@@ -113,7 +115,7 @@ def _cmd_solve(args) -> int:
     )
     if args.starts > 1 or args.x0 is None:
         report = dca.multi_start_solve(
-            inst, cfg, n_starts=max(args.starts, 1), seed=args.seed
+            inst, cfg, n_starts=args.starts, seed=args.seed
         )
     else:
         report = dca.dca_solve(inst, _parse_point(args.x0), cfg)

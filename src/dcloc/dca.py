@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import membership_tol
+from .geometry import membership_tol, row_norms
 from .inner import InnerConfig, InnerProblem, InnerResult, NotInConstraint, solve_inner
 from .model import ProblemInstance, evaluate_objective
 
@@ -69,7 +69,7 @@ def _repulsion_subgradient(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
         return np.zeros(inst.dimension)
     proj = inst.repulsion_batch.projections(x)
     diff = x - proj
-    dists = np.linalg.norm(diff, axis=1)
+    dists = row_norms(diff)
     safe = dists > membership_tol(x)
     out = np.zeros(inst.dimension)
     if np.any(safe):
@@ -85,9 +85,7 @@ def _step(
     inner_cfg: InnerConfig,
 ) -> tuple[np.ndarray, InnerResult]:
     y_k = _repulsion_subgradient(inst, x_k) + lam * x_k
-    prob = InnerProblem(
-        v=y_k, lam=lam, attractions=inst.attractions, constraint=inst.constraint
-    )
+    prob = InnerProblem.for_instance(inst, y_k, lam)
     result = solve_inner(prob, x_k, inner_cfg)
     return y_k, result
 
@@ -188,6 +186,8 @@ def multi_start_solve(
     smallest final iterate.
     """
     cfg = cfg or DcaConfig()
+    if n_starts < 1:
+        raise ValueError(f"need at least one start, got n_starts={n_starts}")
     if sample_box is None:
         radius = inst.constraint.bounding_radius()
         if radius is None:

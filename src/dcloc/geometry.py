@@ -50,6 +50,16 @@ def membership_tol(x: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(x)))
 
 
+def row_norms(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms along the last axis of ``d``, written to ``out`` if given.
+
+    Unlike ``np.linalg.norm(d, axis=-1)`` this allocates no squared copy of
+    ``d``, which matters for the (N, m, n) arrays of bulk distance evaluation.
+    """
+    sq = np.einsum("...i,...i->...", d, d, out=out)
+    return np.sqrt(sq, out=sq)
+
+
 @dataclass(eq=False)
 class ConvexSet:
     """Base class for the supported nonempty closed convex shapes."""
@@ -433,6 +443,4 @@ def set_contains_set(inner: ConvexSet, outer: ConvexSet) -> bool | None:
         if isinstance(inner, AxisBox) and inner.is_bounded():
             return all(outer.contains(v) for v in box_vertices(inner))
         return None
-    if isinstance(outer, Singleton):
-        return None  # only a singleton fits, handled above
-    return None
+    return None  # a singleton outer set: only a singleton fits, handled above

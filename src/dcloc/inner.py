@@ -12,12 +12,12 @@ attraction set (where the fixed-point map divides by zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexSet, membership_tol
-from .model import SetBatch, WeightedSet
+from .geometry import ConvexSet, membership_tol, row_norms
+from .model import ProblemInstance, SetBatch, WeightedSet
 
 __all__ = [
     "InnerProblem",
@@ -61,6 +61,18 @@ class InnerProblem:
         self._batch = None
         self._weights = None
 
+    @classmethod
+    def for_instance(cls, inst: ProblemInstance, v, lam: float) -> InnerProblem:
+        """The subproblem over ``inst``'s attraction sets and constraint.
+
+        It shares the instance's cached attraction batch and weights, so
+        building one per outer step costs no set stacking.
+        """
+        prob = cls(v, lam, inst.attractions, inst.constraint)
+        prob._batch = inst.attraction_batch
+        prob._weights = inst.attraction_weights
+        return prob
+
     @property
     def batch(self) -> SetBatch:
         if self._batch is None:
@@ -93,11 +105,18 @@ class InnerResult:
 
 def phi(prob: InnerProblem, x) -> float:
     """Inner objective: distances + quadratic - linear term."""
-    x = np.asarray(x, dtype=float)
+    return _phi_terms(prob, np.asarray(x, dtype=float))[0]
+
+
+def _phi_terms(prob: InnerProblem, x: np.ndarray):
+    """``phi(prob, x)`` together with the residuals ``x - P_i(x)`` onto the
+    attraction sets and their norms (both None without attraction sets)."""
     val = 0.5 * prob.lam * float(x @ x) - float(prob.v @ x)
-    if prob.attractions:
-        val += float(prob.weights @ prob.batch.distances(x))
-    return val
+    if not prob.attractions:
+        return val, None, None
+    diff = x - prob.batch.projections(x)
+    dists = row_norms(diff)
+    return val + float(prob.weights @ dists), diff, dists
 
 
 def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray:
@@ -110,7 +129,7 @@ def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray:
     if not prob.attractions:
         return prob.v / prob.lam
     proj = prob.batch.projections(x)
-    dists = np.linalg.norm(x - proj, axis=1)
+    dists = row_norms(x - proj)
     threshold = membership_tol(x)
     hit = np.nonzero(dists <= threshold)[0]
     if hit.size:
@@ -160,25 +179,24 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
 
     Applicable even on the attraction sets (the zero subgradient of the
     distance term is selected there).  Plain subgradient steps are not
-    monotone, so the best iterate by objective value is returned.
+    monotone, so the best iterate by objective value is returned.  One batch
+    projection per iteration serves both the value of the new iterate and the
+    subgradient taken there.
     """
     cfg = cfg or InnerConfig()
     x = _require_feasible(prob, x0)
     best_x = x
-    best_val = phi(prob, x)
+    best_val, diff, dists = _phi_terms(prob, x)
     threshold_scale = 1e-9
     for ell in range(1, cfg.max_iters + 1):
         u = prob.lam * x - prob.v
-        if prob.attractions:
-            proj = prob.batch.projections(x)
-            diff = x - proj
-            dists = np.linalg.norm(diff, axis=1)
+        if diff is not None:
             safe = dists > threshold_scale * (1.0 + np.linalg.norm(x))
             if np.any(safe):
                 scaled = (prob.weights[safe] / dists[safe])[:, None] * diff[safe]
                 u = u + np.sum(scaled, axis=0)
         x = prob.constraint.project(x - (cfg.subgradient_step_scale / ell) * u)
-        val = phi(prob, x)
+        val, diff, dists = _phi_terms(prob, x)
         if val < best_val:
             best_val = val
             best_x = x

@@ -9,7 +9,8 @@ two convex components (each augmented by a quadratic term) lives here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .geometry import (
     Halfspace,
     Singleton,
     membership_tol,
+    row_norms,
     set_contains_set,
 )
 
@@ -55,7 +57,10 @@ class SetBatch:
 
     Groups the sets by shape family so that projections of a single point onto
     hundreds of sets reduce to a handful of numpy array operations.  Results
-    are returned in the original set order.
+    are returned in the original set order.  A family whose members are
+    contiguous in that order (always the case for a one-family batch) is
+    addressed by a slice, so its results are written straight into the output
+    without an index-array scatter.
     """
 
     def __init__(self, sets: list[ConvexSet]):
@@ -67,7 +72,10 @@ class SetBatch:
             by_kind.setdefault(type(s), []).append(idx)
         for kind, indices in by_kind.items():
             members = [sets[i] for i in indices]
-            idx = np.array(indices)
+            if indices[-1] - indices[0] == len(indices) - 1:
+                where = slice(indices[0], indices[-1] + 1)
+            else:
+                where = np.array(indices)
             if kind is Singleton:
                 params = (np.stack([s.point for s in members]),)
             elif kind is AxisBox:
@@ -89,64 +97,71 @@ class SetBatch:
                 )
             else:
                 raise TypeError(f"unsupported set type {kind.__name__}")
-            self._groups.append((kind, idx, params))
+            self._groups.append((kind, where, params))
 
     def projections(self, x: np.ndarray) -> np.ndarray:
         """(m, n) array with row i the projection of ``x`` onto set i."""
         out = np.empty((self.n_sets, self.dim))
-        for kind, idx, params in self._groups:
+        for kind, where, params in self._groups:
+            # compute in place when the family's rows are a slice of ``out``
+            view = out[where] if type(where) is slice else None
             if kind is Singleton:
-                out[idx] = params[0]
+                block = params[0]
             elif kind is AxisBox:
-                out[idx] = np.clip(x, params[0], params[1])
+                block = np.clip(x, params[0], params[1], out=view)
             elif kind is Ball:
                 centers, radii = params
                 d = x - centers
-                nd = np.linalg.norm(d, axis=1)
+                nd = row_norms(d)
                 scale = np.where(nd > radii, radii / np.maximum(nd, 1e-300), 1.0)
-                out[idx] = centers + d * scale[:, None]
+                block = np.add(centers, d * scale[:, None], out=view)
             else:  # Halfspace
                 normals, offsets, nn = params
                 excess = np.maximum(normals @ x - offsets, 0.0)
-                out[idx] = x - (excess / nn)[:, None] * normals
+                block = np.subtract(x, (excess / nn)[:, None] * normals, out=view)
+            if block is not view:
+                out[where] = block
         return out
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x - self.projections(x), axis=1)
+        return row_norms(x - self.projections(x))
 
     def distances_many(self, pts: np.ndarray) -> np.ndarray:
         """(N, m) distances from each of N points to each of the m sets."""
         out = np.empty((pts.shape[0], self.n_sets))
-        for kind, idx, params in self._groups:
+        rows = pts[:, None, :]
+        for kind, where, params in self._groups:
+            view = out[:, where] if type(where) is slice else None
             if kind is Singleton:
-                diff = pts[:, None, :] - params[0][None, :, :]
-                out[:, idx] = np.linalg.norm(diff, axis=2)
+                block = row_norms(rows - params[0][None], out=view)
             elif kind is AxisBox:
-                proj = np.clip(pts[:, None, :], params[0][None], params[1][None])
-                out[:, idx] = np.linalg.norm(pts[:, None, :] - proj, axis=2)
+                gap = np.clip(rows, params[0][None], params[1][None])
+                block = row_norms(np.subtract(rows, gap, out=gap), out=view)
             elif kind is Ball:
                 centers, radii = params
-                nd = np.linalg.norm(pts[:, None, :] - centers[None], axis=2)
-                out[:, idx] = np.maximum(nd - radii[None], 0.0)
+                nd = row_norms(rows - centers[None])
+                block = np.maximum(nd - radii[None], 0.0, out=view)
             else:  # Halfspace
                 normals, offsets, nn = params
                 excess = np.maximum(pts @ normals.T - offsets[None], 0.0)
-                out[:, idx] = excess / np.sqrt(nn)[None]
+                block = np.divide(excess, np.sqrt(nn)[None], out=view)
+            if block is not view:
+                out[:, where] = block
         return out
 
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """Weighted attraction/repulsion sets plus a constraint set."""
+    """Weighted attraction/repulsion sets plus a constraint set.
+
+    The set batches and weight arrays are built on first use and cached, so
+    the sets and weights must not be changed after the instance is used.
+    """
 
     dimension: int
     attractions: list[WeightedSet]
     repulsions: list[WeightedSet]
     constraint: ConvexSet
-
-    def __post_init__(self):
-        self._attraction_batch = None
-        self._repulsion_batch = None
 
     def __eq__(self, other):
         if not isinstance(other, ProblemInstance):
@@ -158,25 +173,28 @@ class ProblemInstance:
             and self.constraint == other.constraint
         )
 
-    @property
+    @cached_property
     def attraction_batch(self) -> SetBatch:
-        if self._attraction_batch is None:
-            self._attraction_batch = SetBatch([w.set for w in self.attractions])
-        return self._attraction_batch
+        return SetBatch([w.set for w in self.attractions])
 
-    @property
+    @cached_property
     def repulsion_batch(self) -> SetBatch:
-        if self._repulsion_batch is None:
-            self._repulsion_batch = SetBatch([w.set for w in self.repulsions])
-        return self._repulsion_batch
+        return SetBatch([w.set for w in self.repulsions])
 
-    @property
+    @cached_property
     def attraction_weights(self) -> np.ndarray:
-        return np.array([w.weight for w in self.attractions])
+        return _frozen_weights(self.attractions)
 
-    @property
+    @cached_property
     def repulsion_weights(self) -> np.ndarray:
-        return np.array([w.weight for w in self.repulsions])
+        return _frozen_weights(self.repulsions)
+
+
+def _frozen_weights(sets: list[WeightedSet]) -> np.ndarray:
+    # read-only: every caller of the instance shares the cached array
+    weights = np.array([w.weight for w in sets])
+    weights.flags.writeable = False
+    return weights
 
 
 def evaluate_objective(inst: ProblemInstance, x) -> float:

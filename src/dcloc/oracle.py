@@ -89,7 +89,7 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     min_dist = np.inf
     for start in range(0, total, _CHUNK):
         block = pts[start : start + _CHUNK]
-        proj = _project_many(inst, block)
+        proj = inst.constraint.project_many(block)
         min_dist = min(
             min_dist, float(np.min(np.linalg.norm(block - proj, axis=1)))
         )
@@ -108,10 +108,6 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     return OracleResult(
         best_x=best_x, best_value=best_val, evaluations=total, spacing=spacing
     )
-
-
-def _project_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
-    return inst.constraint.project_many(pts)
 
 
 def local_refine(

@@ -13,10 +13,11 @@ def fixtures_dir() -> pathlib.Path:
     return FIXTURES
 
 
-def random_set(rng: np.random.Generator, n: int, bounded_only: bool = False):
-    """A random convex set of one of the supported families."""
-    kinds = ["point", "ball", "box"] if bounded_only else ["point", "ball", "box", "halfspace"]
-    kind = kinds[rng.integers(len(kinds))]
+def random_set(rng: np.random.Generator, n: int, bounded_only: bool = False, kind=None):
+    """A random convex set of the given family, or of a random one."""
+    if kind is None:
+        kinds = ["point", "ball", "box"] if bounded_only else ["point", "ball", "box", "halfspace"]
+        kind = kinds[rng.integers(len(kinds))]
     if kind == "point":
         return Singleton(rng.normal(size=n))
     if kind == "ball":

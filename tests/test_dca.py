@@ -16,6 +16,8 @@ from dcloc import (
     evaluate_objective,
     multi_start_solve,
 )
+from dcloc import model
+from dcloc.instance_io import load_points_csv
 from conftest import random_instance
 
 INF = np.inf
@@ -145,3 +147,27 @@ class TestMultiStart:
             multi = multi_start_solve(inst, n_starts=5, seed=11)
             single = multi_start_solve(inst, n_starts=1, seed=11)
             assert multi.final_value <= single.final_value + 1e-12
+
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_rejects_no_starts(self, n_starts):
+        with pytest.raises(ValueError, match="at least one start"):
+            multi_start_solve(line_instance(), n_starts=n_starts, seed=0)
+
+    def test_builds_each_batch_once(self, fixtures_dir, monkeypatch):
+        inst = ProblemInstance(
+            2,
+            load_points_csv(fixtures_dir / "group_a.csv", shape="square", half_side=5.0),
+            load_points_csv(fixtures_dir / "group_b.csv", shape="square", half_side=5.0),
+            Ball([30.0, -160.0], 30.0),
+        )
+        builds = []
+        original = model.SetBatch.__init__
+
+        def counting_init(self, sets):
+            builds.append(len(sets))
+            original(self, sets)
+
+        monkeypatch.setattr(model.SetBatch, "__init__", counting_init)
+        report = multi_start_solve(inst, n_starts=3, seed=0)
+        assert report.outer_iterations > 1
+        assert sorted(builds) == [120, 1097]

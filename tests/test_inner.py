@@ -49,6 +49,17 @@ class TestPhi:
         assert phi(prob, [1.0, 1.0]) == 4.0
 
 
+class TestForInstance:
+    def test_shares_instance_batch_and_weights(self):
+        inst = random_instance(np.random.default_rng(2), 2, separated=True)
+        prob = InnerProblem.for_instance(inst, [0.5, -0.5], 2.0)
+        assert prob.batch is inst.attraction_batch
+        assert prob.weights is inst.attraction_weights
+        direct = InnerProblem([0.5, -0.5], 2.0, inst.attractions, inst.constraint)
+        x = inst.constraint.project(np.array([0.3, 0.1]))
+        assert phi(prob, x) == phi(direct, x)
+
+
 class TestWeiszfeldMap:
     def test_single_target_closed_form(self):
         prob = single_target()

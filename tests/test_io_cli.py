@@ -227,6 +227,16 @@ class TestCliSolve:
         assert main(["solve"]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("starts", ["0", "-2"])
+    def test_no_starts_is_validation_error(self, fixtures_dir, capsys, starts):
+        code = main([
+            "solve",
+            "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+            "--starts", starts,
+        ])
+        assert code == EXIT_VALIDATION
+        assert "--starts must be at least 1" in capsys.readouterr().err
+
     def test_infeasible_start_is_solver_error(self, fixtures_dir, capsys):
         code = main([
             "solve",

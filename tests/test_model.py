@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcloc import (
     AxisBox,
@@ -16,7 +18,8 @@ from dcloc import (
     existence_classify,
     validate_instance,
 )
-from conftest import random_instance
+from dcloc.model import SetBatch
+from conftest import random_instance, random_set
 
 INF = np.inf
 
@@ -257,3 +260,45 @@ class TestValidateInstance:
             2, [WeightedSet(Singleton([5.0, 0.0]), 0.0)], [], Ball([0, 0], 1.0)
         )
         assert any("weight" in d for d in validate_instance(inst))
+
+
+FAMILIES = ("point", "ball", "box", "halfspace")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_set_batch_matches_per_set_kernels(seed, counts, interleave):
+    """Batch projections and distances agree with each set's own, whether
+    every family is a contiguous run (slice path) or interleaved (index path)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    sets = [random_set(rng, n, kind=k) for k, c in zip(FAMILIES, counts) for _ in range(c)]
+    if interleave:
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+    batch = SetBatch(sets)
+    for kind, where, _ in batch._groups:
+        at = [i for i, s in enumerate(sets) if type(s) is kind]
+        assert (type(where) is slice) == (at[-1] - at[0] == len(at) - 1)
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    pts = rng.normal(scale=3.0, size=(int(rng.integers(1, 6)), n))
+    for x in pts:
+        assert close(batch.projections(x), np.array([s.project(x) for s in sets]))
+        assert close(batch.distances(x), np.array([s.distance(x) for s in sets]))
+    want_many = np.array([[s.distance(x) for s in sets] for x in pts])
+    assert close(batch.distances_many(pts), want_many)
+
+
+class TestInstanceCache:
+    def test_weights_cached_read_only(self):
+        inst = line_between_halfplanes()
+        assert inst.attraction_weights is inst.attraction_weights
+        assert inst.repulsion_weights is inst.repulsion_weights
+        with pytest.raises(ValueError):
+            inst.repulsion_weights[0] = 5.0
