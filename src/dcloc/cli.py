@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import analysis, dca, instance_io, oracle
-from .geometry import Ball
+from .geometry import Ball, GeometryError
 from .inner import InnerConfig, NotInConstraint
-from .model import ProblemInstance, evaluate_objective, existence_classify, validate_instance
+from .model import ProblemInstance, existence_classify, require_valid, validate_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,9 +34,12 @@ EXIT_SOLVER = 3
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")])
+        point = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise instance_io.ParseError(f"bad coordinate list {text!r}")
+    if not np.all(np.isfinite(point)):
+        raise instance_io.ParseError(f"non-finite value in coordinate list {text!r}")
+    return point
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -65,26 +68,21 @@ def _load_solve_instance(args) -> ProblemInstance:
         raise instance_io.ParseError(
             "provide --instance or --attractions-csv"
         )
-    attractions = instance_io.load_points_csv(
-        args.attractions_csv,
-        shape=args.csv_shape,
-        half_side=args.half_side,
-        weight=1.0,
-    )
-    repulsions = []
-    if args.repulsions_csv:
-        repulsions = instance_io.load_points_csv(
-            args.repulsions_csv,
-            shape=args.csv_shape,
-            half_side=args.half_side,
-            weight=1.0,
-        )
+
+    def load(path):
+        return instance_io.load_points_csv(path, shape=args.csv_shape, half_side=args.half_side)
+
+    attractions = load(args.attractions_csv)
+    repulsions = load(args.repulsions_csv) if args.repulsions_csv else []
     if not args.constraint_ball:
         raise instance_io.ParseError("CSV input needs --constraint-ball cx,...,r")
     parts = _parse_point(args.constraint_ball)
-    constraint = Ball(parts[:-1], parts[-1])
+    try:
+        constraint = Ball(parts[:-1], parts[-1])
+    except GeometryError as exc:
+        raise instance_io.ParseError(f"bad --constraint-ball: {exc}") from exc
     dim = attractions[0].set.dim
-    return ProblemInstance(dim, attractions, repulsions, constraint)
+    return require_valid(ProblemInstance(dim, attractions, repulsions, constraint))
 
 
 def _write_trajectory(path: str, trajectory, dim: int) -> None:
@@ -118,7 +116,12 @@ def _cmd_solve(args) -> int:
             inst, cfg, n_starts=args.starts, seed=args.seed
         )
     else:
-        report = dca.dca_solve(inst, _parse_point(args.x0), cfg)
+        x0 = _parse_point(args.x0)
+        if x0.shape != (inst.dimension,):
+            raise instance_io.ValidationError(
+                f"--x0 has {x0.size} coordinates, the instance has dimension {inst.dimension}"
+            )
+        report = dca.dca_solve(inst, x0, cfg)
     if args.trajectory and report.trajectory is not None:
         _write_trajectory(args.trajectory, report.trajectory, inst.dimension)
     _emit(

@@ -11,6 +11,7 @@ their projection would need an inner QP.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,15 @@ def _vec(x) -> np.ndarray:
     return a
 
 
+def _finite(value, what: str):
+    # math.isfinite over a list: several times cheaper than np.isfinite on
+    # the small arrays that CSV loading builds by the thousand
+    entries = value.tolist() if isinstance(value, np.ndarray) else (value,)
+    if not all(map(math.isfinite, entries)):
+        raise GeometryError(f"{what} must be finite, got {value}")
+    return value
+
+
 def membership_tol(x: np.ndarray) -> float:
     """Scale-aware default tolerance for membership tests."""
     return 1e-9 * (1.0 + float(np.linalg.norm(x)))
@@ -62,7 +72,10 @@ def row_norms(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(eq=False)
 class ConvexSet:
-    """Base class for the supported nonempty closed convex shapes."""
+    """Base class for the supported nonempty closed convex shapes.
+
+    Construction rejects NaN anywhere and infinities outside box bounds.
+    """
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x)
@@ -80,9 +93,23 @@ class ConvexSet:
         """Euclidean projection of ``x`` onto the set."""
         raise NotImplementedError
 
+    @staticmethod
+    def _project_array(x: np.ndarray, *params) -> np.ndarray:
+        """Projections of the points ``x`` of shape ``(..., n)`` onto the sets
+        whose stacked ``_key()`` parameters broadcast against ``x``: the array
+        kernel behind ``project_many`` and ``model.SetBatch``.  The result is
+        a fresh array, or for singletons the point parameter itself."""
+        raise NotImplementedError
+
     def project_many(self, pts: np.ndarray) -> np.ndarray:
         """Row-wise projection of an ``(N, n)`` array of points."""
-        raise NotImplementedError
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionMismatch(f"expected (N, {self.dim}) points, got shape {pts.shape}")
+        proj = self._project_array(pts, *self._key())
+        if proj.shape != pts.shape:  # a singleton's own point
+            proj = np.broadcast_to(proj, pts.shape).copy()
+        return proj
 
     def distance(self, x) -> float:
         x = self._check_dim(x)
@@ -132,7 +159,7 @@ class Singleton(ConvexSet):
     point: np.ndarray
 
     def __post_init__(self):
-        self.point = _vec(self.point)
+        self.point = _finite(_vec(self.point), "point coordinates")
 
     @property
     def dim(self) -> int:
@@ -142,8 +169,13 @@ class Singleton(ConvexSet):
         self._check_dim(x)
         return self.point.copy()
 
-    def project_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.point, pts.shape).copy()
+    @staticmethod
+    def _project_array(x, point):
+        return point
+
+    # each shape keeps project_many in its own namespace, so that per-class
+    # instrumentation can wrap it
+    project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
         return float(np.dot(_vec(direction), self.point))
@@ -172,8 +204,8 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        self.center = _vec(self.center)
-        self.radius = float(self.radius)
+        self.center = _finite(_vec(self.center), "ball center")
+        self.radius = _finite(float(self.radius), "ball radius")
         if not self.radius > 0:
             raise GeometryError("ball radius must be positive")
 
@@ -189,11 +221,15 @@ class Ball(ConvexSet):
             return x.copy()
         return self.center + (self.radius / nd) * d
 
-    def project_many(self, pts: np.ndarray) -> np.ndarray:
-        d = pts - self.center
-        nd = np.linalg.norm(d, axis=1)
-        scale = np.where(nd > self.radius, self.radius / np.maximum(nd, 1e-300), 1.0)
-        return self.center + d * scale[:, None]
+    @staticmethod
+    def _project_array(x, center, radius):
+        d = x - center
+        nd = row_norms(d)
+        d *= np.where(nd > radius, radius / np.maximum(nd, 1e-300), 1.0)[..., None]
+        d += center
+        return d
+
+    project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
         direction = _vec(direction)
@@ -257,8 +293,11 @@ class AxisBox(ConvexSet):
         x = self._check_dim(x)
         return np.clip(x, self.lower, self.upper)
 
-    def project_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.clip(pts, self.lower, self.upper)
+    @staticmethod
+    def _project_array(x, lower, upper):
+        return np.clip(x, lower, upper)
+
+    project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
         direction = _vec(direction)
@@ -314,8 +353,8 @@ class Halfspace(ConvexSet):
     offset: float
 
     def __post_init__(self):
-        self.normal = _vec(self.normal)
-        self.offset = float(self.offset)
+        self.normal = _finite(_vec(self.normal), "halfspace normal")
+        self.offset = _finite(float(self.offset), "halfspace offset")
         if np.linalg.norm(self.normal) == 0:
             raise GeometryError("halfspace normal must be nonzero")
 
@@ -330,10 +369,12 @@ class Halfspace(ConvexSet):
             return x.copy()
         return x - (excess / np.dot(self.normal, self.normal)) * self.normal
 
-    def project_many(self, pts: np.ndarray) -> np.ndarray:
-        excess = pts @ self.normal - self.offset
-        excess = np.maximum(excess, 0.0)
-        return pts - np.outer(excess / np.dot(self.normal, self.normal), self.normal)
+    @staticmethod
+    def _project_array(x, normal, offset):
+        excess = np.maximum(np.sum(x * normal, axis=-1) - offset, 0.0)
+        return x - (excess / np.sum(normal * normal, axis=-1))[..., None] * normal
+
+    project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
         direction = _vec(direction)

@@ -181,7 +181,8 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
     distance term is selected there).  Plain subgradient steps are not
     monotone, so the best iterate by objective value is returned.  One batch
     projection per iteration serves both the value of the new iterate and the
-    subgradient taken there.
+    subgradient taken there.  The method has no stopping test, so it runs its
+    whole budget and never reports ``converged``.
     """
     cfg = cfg or InnerConfig()
     x = _require_feasible(prob, x0)
@@ -204,7 +205,7 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
         x=best_x,
         value=best_val,
         iterations=cfg.max_iters,
-        converged=True,
+        converged=False,
         method_used="subgradient",
     )
 
@@ -235,7 +236,7 @@ def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> Inner
                 x=resume,
                 value=resume_val,
                 iterations=result.iterations,
-                converged=True,
+                converged=False,
                 method_used="subgradient",
             )
         return result

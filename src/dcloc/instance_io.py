@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import AxisBox, Ball, ConvexSet, Halfspace, Singleton
-from .model import ProblemInstance, WeightedSet
+from .model import ProblemInstance, ValidationError, WeightedSet, require_valid
 
 __all__ = [
     "ParseError",
@@ -38,11 +38,7 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed instance or CSV file."""
-
-
-class ValidationError(ValueError):
-    """Structurally parseable but semantically invalid instance."""
+    """Malformed instance or CSV file, or a NaN or infinity where none is allowed."""
 
 
 def _bound(value) -> float:
@@ -112,21 +108,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad instance document: {exc}") from exc
-    inst = ProblemInstance(dimension, attractions, repulsions, constraint)
-    errors = []
-    if not attractions:
-        errors.append("instance has no attraction sets")
-    for label, group in (("attraction", attractions), ("repulsion", repulsions)):
-        for i, w in enumerate(group):
-            if not w.weight > 0:
-                errors.append(f"{label} {i}: weight must be strictly positive")
-            if w.set.dim != dimension:
-                errors.append(f"{label} {i}: dimension mismatch")
-    if constraint.dim != dimension:
-        errors.append("constraint set dimension mismatch")
-    if errors:
-        raise ValidationError("; ".join(errors))
-    return inst
+    return require_valid(ProblemInstance(dimension, attractions, repulsions, constraint))
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
@@ -169,19 +151,22 @@ def load_points_csv(
     half side centered at the rows."""
     if shape not in ("point", "square"):
         raise ParseError(f"unknown csv shape {shape!r}")
-    if shape == "square" and not half_side > 0:
-        raise ParseError("square shape needs a positive half side")
+    if shape == "square" and not 0 < half_side < math.inf:
+        raise ParseError("square shape needs a positive finite half side")
     sets: list[WeightedSet] = []
     with open(path, newline="") as fh:
         for rownum, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                coords = np.array([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 if rownum == 1:
                     continue  # header row
                 raise ParseError(f"{path}: non-numeric data at row {rownum}")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: non-finite coordinate at row {rownum}")
+            coords = np.array(values)
             if shape == "point":
                 s: ConvexSet = Singleton(coords)
             else:

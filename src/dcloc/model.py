@@ -14,16 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (
-    AxisBox,
-    Ball,
-    ConvexSet,
-    Halfspace,
-    Singleton,
-    membership_tol,
-    row_norms,
-    set_contains_set,
-)
+from .geometry import AxisBox, ConvexSet, Singleton, row_norms, set_contains_set
 
 __all__ = [
     "WeightedSet",
@@ -34,6 +25,9 @@ __all__ = [
     "evaluate_objective_many",
     "evaluate_split",
     "existence_classify",
+    "ValidationError",
+    "structural_problems",
+    "require_valid",
     "validate_instance",
 ]
 
@@ -45,6 +39,8 @@ class WeightedSet:
 
     def __post_init__(self):
         self.weight = float(self.weight)
+        if not math.isfinite(self.weight):
+            raise ValueError(f"weight must be finite, got {self.weight}")
 
     def __eq__(self, other):
         if not isinstance(other, WeightedSet):
@@ -55,12 +51,12 @@ class WeightedSet:
 class SetBatch:
     """Vectorized projection/distance over a list of convex sets.
 
-    Groups the sets by shape family so that projections of a single point onto
-    hundreds of sets reduce to a handful of numpy array operations.  Results
-    are returned in the original set order.  A family whose members are
-    contiguous in that order (always the case for a one-family batch) is
-    addressed by a slice, so its results are written straight into the output
-    without an index-array scatter.
+    Stacks each shape family's ``_key()`` parameters, so that projecting onto
+    hundreds of sets costs one ``_project_array`` call per family.  Results
+    are in the original set order, and a one-family batch returns the kernel's
+    result as it is.  A family contiguous in that order is addressed by a
+    slice rather than an index array.  The stacked parameters are read-only,
+    since a singleton family's kernel returns them as its projections.
     """
 
     def __init__(self, sets: list[ConvexSet]):
@@ -71,83 +67,53 @@ class SetBatch:
         for idx, s in enumerate(sets):
             by_kind.setdefault(type(s), []).append(idx)
         for kind, indices in by_kind.items():
-            members = [sets[i] for i in indices]
             if indices[-1] - indices[0] == len(indices) - 1:
                 where = slice(indices[0], indices[-1] + 1)
             else:
                 where = np.array(indices)
-            if kind is Singleton:
-                params = (np.stack([s.point for s in members]),)
-            elif kind is AxisBox:
-                params = (
-                    np.stack([s.lower for s in members]),
-                    np.stack([s.upper for s in members]),
-                )
-            elif kind is Ball:
-                params = (
-                    np.stack([s.center for s in members]),
-                    np.array([s.radius for s in members]),
-                )
-            elif kind is Halfspace:
-                normals = np.stack([s.normal for s in members])
-                params = (
-                    normals,
-                    np.array([s.offset for s in members]),
-                    np.sum(normals * normals, axis=1),
-                )
-            else:
-                raise TypeError(f"unsupported set type {kind.__name__}")
+            # one key parameter at a time: a list of every member's key tuple
+            # would outweigh the stacked arrays
+            params = tuple(
+                _read_only(np.stack([sets[i]._key()[j] for i in indices]))
+                for j in range(len(sets[indices[0]]._key()))
+            )
             self._groups.append((kind, where, params))
+
+    def _assemble(self, block, shape: tuple | None = None, axis: int = 0) -> np.ndarray:
+        """Array of ``shape`` (default (m, n)) whose slots along ``axis`` (one
+        per set) are filled family by family from ``block(kind, where, params)``."""
+        if len(self._groups) == 1:
+            return block(*self._groups[0])
+        out = np.empty(shape or (self.n_sets, self.dim))
+        lead = (slice(None),) * axis
+        for kind, where, params in self._groups:
+            out[lead + (where,)] = block(kind, where, params)
+        return out
 
     def projections(self, x: np.ndarray) -> np.ndarray:
         """(m, n) array with row i the projection of ``x`` onto set i."""
-        out = np.empty((self.n_sets, self.dim))
-        for kind, where, params in self._groups:
-            # compute in place when the family's rows are a slice of ``out``
-            view = out[where] if type(where) is slice else None
-            if kind is Singleton:
-                block = params[0]
-            elif kind is AxisBox:
-                block = np.clip(x, params[0], params[1], out=view)
-            elif kind is Ball:
-                centers, radii = params
-                d = x - centers
-                nd = row_norms(d)
-                scale = np.where(nd > radii, radii / np.maximum(nd, 1e-300), 1.0)
-                block = np.add(centers, d * scale[:, None], out=view)
-            else:  # Halfspace
-                normals, offsets, nn = params
-                excess = np.maximum(normals @ x - offsets, 0.0)
-                block = np.subtract(x, (excess / nn)[:, None] * normals, out=view)
-            if block is not view:
-                out[where] = block
-        return out
+        return self._assemble(lambda kind, where, params: kind._project_array(x, *params))
+
+    def paired_projections(self, pts: np.ndarray) -> np.ndarray:
+        """(m, n) array with row i the projection of ``pts[i]`` onto set i."""
+        return self._assemble(
+            lambda kind, where, params: kind._project_array(pts[where], *params)
+        )
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         return row_norms(x - self.projections(x))
 
     def distances_many(self, pts: np.ndarray) -> np.ndarray:
         """(N, m) distances from each of N points to each of the m sets."""
-        out = np.empty((pts.shape[0], self.n_sets))
         rows = pts[:, None, :]
-        for kind, where, params in self._groups:
-            view = out[:, where] if type(where) is slice else None
-            if kind is Singleton:
-                block = row_norms(rows - params[0][None], out=view)
-            elif kind is AxisBox:
-                gap = np.clip(rows, params[0][None], params[1][None])
-                block = row_norms(np.subtract(rows, gap, out=gap), out=view)
-            elif kind is Ball:
-                centers, radii = params
-                nd = row_norms(rows - centers[None])
-                block = np.maximum(nd - radii[None], 0.0, out=view)
-            else:  # Halfspace
-                normals, offsets, nn = params
-                excess = np.maximum(pts @ normals.T - offsets[None], 0.0)
-                block = np.divide(excess, np.sqrt(nn)[None], out=view)
-            if block is not view:
-                out[:, where] = block
-        return out
+
+        def block(kind, where, params):
+            proj = kind._project_array(rows, *params)
+            if proj.flags.writeable:  # a fresh (N, m_k, n) array, not a parameter
+                return row_norms(np.subtract(rows, proj, out=proj))
+            return row_norms(rows - proj)
+
+        return self._assemble(block, (pts.shape[0], self.n_sets), axis=1)
 
 
 @dataclass(eq=False)
@@ -181,20 +147,20 @@ class ProblemInstance:
     def repulsion_batch(self) -> SetBatch:
         return SetBatch([w.set for w in self.repulsions])
 
+    # the weights are read-only: every caller of the instance shares them
+
     @cached_property
     def attraction_weights(self) -> np.ndarray:
-        return _frozen_weights(self.attractions)
+        return _read_only(np.array([w.weight for w in self.attractions]))
 
     @cached_property
     def repulsion_weights(self) -> np.ndarray:
-        return _frozen_weights(self.repulsions)
+        return _read_only(np.array([w.weight for w in self.repulsions]))
 
 
-def _frozen_weights(sets: list[WeightedSet]) -> np.ndarray:
-    # read-only: every caller of the instance shares the cached array
-    weights = np.array([w.weight for w in sets])
-    weights.flags.writeable = False
-    return weights
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def evaluate_objective(inst: ProblemInstance, x) -> float:
@@ -344,39 +310,63 @@ def existence_classify(inst: ProblemInstance) -> ExistenceReport:
     return report
 
 
-def validate_instance(inst: ProblemInstance) -> list[str]:
-    """Collect human-readable diagnostics; empty list means no findings.
+class ValidationError(ValueError):
+    """Structurally parseable but semantically invalid instance."""
 
-    The fixed-point inner solver assumes every attraction set is disjoint from
-    the constraint set; intersection detection is conservative (distance
-    between canonical selections of the representable shapes).
-    """
-    diags = []
+
+def structural_problems(inst: ProblemInstance) -> list[str]:
+    """No attractions, nonpositive weights, and sets of the wrong dimension."""
+    problems = []
     for label, group in (("attraction", inst.attractions), ("repulsion", inst.repulsions)):
         for i, w in enumerate(group):
             if not w.weight > 0:
-                diags.append(f"{label} {i}: weight must be strictly positive")
+                problems.append(f"{label} {i}: weight must be strictly positive")
             if w.set.dim != inst.dimension:
-                diags.append(
+                problems.append(
                     f"{label} {i}: set dimension {w.set.dim} != instance "
                     f"dimension {inst.dimension}"
                 )
     if inst.constraint.dim != inst.dimension:
-        diags.append("constraint set dimension mismatch")
+        problems.append(
+            f"constraint set dimension {inst.constraint.dim} != instance "
+            f"dimension {inst.dimension}"
+        )
     if not inst.attractions:
-        diags.append("instance has no attraction sets")
-    if any(d for d in diags):
-        return diags
+        problems.append("instance has no attraction sets")
+    return problems
 
-    for i, w in enumerate(inst.attractions):
-        # detect intersection by alternating projections; converges to a common
-        # point when the sets meet, and to a closest pair otherwise
-        q = inst.constraint.project(w.set.selection_point())
-        for _ in range(25):
-            q = inst.constraint.project(w.set.project(q))
-        if w.set.contains(q, membership_tol(q)):
-            diags.append(
-                f"attraction {i} intersects the constraint set; the fixed-point "
-                "inner solver may be inapplicable (subgradient fallback is used)"
-            )
-    return diags
+
+def require_valid(inst: ProblemInstance) -> ProblemInstance:
+    """``inst``, or ValidationError naming all its structural problems."""
+    problems = structural_problems(inst)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return inst
+
+
+def validate_instance(inst: ProblemInstance) -> list[str]:
+    """Collect human-readable diagnostics; empty list means no findings.
+
+    Structural problems stop the check.  Otherwise it reports the attraction
+    sets that meet the constraint set, where the fixed-point inner solver may
+    be inapplicable, found by 25 rounds of alternating projections run on all
+    sets at once (they reach a common point when the sets meet).
+    """
+    diags = structural_problems(inst)
+    if diags:
+        return diags
+    batch = inst.attraction_batch
+    project_constraint = inst.constraint.project_many
+    # streamed into one array: a list of per-set copies would set the memory peak
+    selections = (w.set.selection_point() for w in inst.attractions)
+    q = np.fromiter(selections, np.dtype((float, inst.dimension)), len(inst.attractions))
+    q = project_constraint(q)
+    for _ in range(25):
+        q = project_constraint(batch.paired_projections(q))
+    gaps = row_norms(q - batch.paired_projections(q))
+    meets = gaps <= 1e-9 * (1.0 + row_norms(q))  # membership_tol, row by row
+    return [
+        f"attraction {i} intersects the constraint set; the fixed-point "
+        "inner solver may be inapplicable (subgradient fallback is used)"
+        for i in np.flatnonzero(meets)
+    ]

@@ -16,6 +16,7 @@ from dcloc import (
 from conftest import random_set, sample_point_in
 
 INF = np.inf
+NAN = np.nan
 
 
 class TestProject:
@@ -36,6 +37,35 @@ class TestProject:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Ball([0, 0], 1.0).project([1, 2, 3])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("make", [
+        lambda: Singleton([0.0, NAN]),
+        lambda: Singleton([INF, 0.0]),
+        lambda: Ball([NAN, 0.0], 1.0),
+        lambda: Ball([0.0, -INF], 1.0),
+        lambda: Ball([0.0, 0.0], INF),
+        lambda: Ball([0.0, 0.0], NAN),
+        lambda: AxisBox([NAN, 0.0], [1.0, 1.0]),
+        lambda: AxisBox([0.0, 0.0], [1.0, NAN]),
+        lambda: Halfspace([NAN, 1.0], 0.0),
+        lambda: Halfspace([INF, 1.0], 0.0),
+        lambda: Halfspace([0.0, 1.0], INF),
+        lambda: Halfspace([0.0, 1.0], NAN),
+    ])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(GeometryError):
+            make()
+
+    def test_infinite_box_bounds_allowed(self):
+        assert AxisBox([-INF, 0.0], [INF, 0.0]).dim == 2
+
+    def test_project_many_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Ball([0.0, 0.0], 1.0).project_many(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            Singleton([0.0, 0.0]).project_many(np.zeros(2))
 
 
 class TestContains:

@@ -160,6 +160,14 @@ class TestSubgradientSolve:
         # minimizer (4,0), value 2 + 8 - 20
         assert np.isclose(result.value, -10.0, atol=1e-2)
 
+    def test_never_claims_convergence(self):
+        # no stopping test: neither the method nor the auto fallback, which
+        # hands over to it, has evidence that the iterate is the minimizer
+        result = subgradient_solve(single_target(), [0.0, 0.0], InnerConfig(max_iters=50))
+        assert result.iterations == 50 and result.converged is False
+        fallback = solve_inner(single_target(alpha=3.0), [0.0, 0.0])
+        assert fallback.method_used == "subgradient" and fallback.converged is False
+
 
 class TestSolveInner:
     def test_auto_smooth_route(self):

@@ -237,6 +237,57 @@ class TestCliSolve:
         assert code == EXIT_VALIDATION
         assert "--starts must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, ball, message", [
+        ("1,2\n3,4,5\n", "0,0,10", "attraction 1: set dimension 3 != instance dimension 2"),
+        ("1,2\n3,4\n", "0,10", "constraint set dimension 1 != instance dimension 2"),
+        ("1,2\nnan,4\n", "0,0,10", "non-finite coordinate at row 2"),
+        ("1,2\n3,inf\n", "0,0,10", "non-finite coordinate at row 2"),
+        ("1,2\n3,4\n", "0,0,nan", "non-finite value in coordinate list"),
+        ("1,2\n3,4\n", "0,0,-1", "ball radius must be positive"),
+    ])
+    def test_bad_csv_input_is_validation_error(self, tmp_path, capsys, rows, ball, message):
+        path = tmp_path / "a.csv"
+        path.write_text(rows)
+        code = main(["solve", "--attractions-csv", str(path), "--constraint-ball", ball])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape, weight, message", [
+        ({"kind": "point", "point": [0.0, float("nan")]}, 1.0, "point coordinates must be finite"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}, 1.0,
+         "ball radius must be finite"),
+        ({"kind": "halfspace", "normal": [0.0, 1.0], "offset": float("-inf")}, 1.0,
+         "halfspace offset must be finite"),
+        ({"kind": "box", "lower": ["nan", 0.0], "upper": [1.0, 1.0]}, 1.0,
+         "box bounds must not be NaN"),
+        ({"kind": "point", "point": [5.0, 0.0]}, float("inf"), "weight must be finite"),
+    ])
+    def test_non_finite_json_is_validation_error(self, tmp_path, capsys, shape, weight, message):
+        doc = {
+            "dimension": 2,
+            "attractions": [{"shape": shape, "weight": weight}],
+            "constraint": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity literals
+        code = main(["solve", "--instance", str(path), "--x0", "0,0"])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0, message", [
+        ("3,0.5,1", "--x0 has 3 coordinates, the instance has dimension 2"),
+        ("3", "--x0 has 1 coordinates, the instance has dimension 2"),
+        ("3,nan", "non-finite value in coordinate list"),
+    ])
+    def test_bad_start_is_validation_error(self, fixtures_dir, capsys, x0, message):
+        code = main([
+            "solve",
+            "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+            "--x0", x0,
+        ])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_infeasible_start_is_solver_error(self, fixtures_dir, capsys):
         code = main([
             "solve",

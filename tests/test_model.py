@@ -255,6 +255,25 @@ class TestValidateInstance:
         diags = validate_instance(inst)
         assert any("intersects the constraint" in d for d in diags)
 
+    def test_interleaved_families_exact_diagnostics(self):
+        # each family at non-adjacent indices; 1, 4, 5 and 7 meet the disk
+        sets = [
+            Singleton([3.0, 0.0]),
+            Ball([0.5, 0.0], 0.2),
+            AxisBox([2.0, 2.0], [3.0, 3.0]),
+            Halfspace([1.0, 0.0], -2.0),
+            Singleton([0.0, 0.5]),
+            AxisBox([-0.5, -3.0], [0.5, -0.5]),
+            Ball([5.0, 5.0], 1.0),
+            Halfspace([0.0, 1.0], 0.0),
+        ]
+        inst = ProblemInstance(2, [WeightedSet(S, 1.0) for S in sets], [], Ball([0, 0], 1.0))
+        assert validate_instance(inst) == [
+            f"attraction {i} intersects the constraint set; the fixed-point "
+            "inner solver may be inapplicable (subgradient fallback is used)"
+            for i in (1, 4, 5, 7)
+        ]
+
     def test_zero_weight_flagged(self):
         inst = ProblemInstance(
             2, [WeightedSet(Singleton([5.0, 0.0]), 0.0)], [], Ball([0, 0], 1.0)
@@ -272,7 +291,8 @@ FAMILIES = ("point", "ball", "box", "halfspace")
     st.booleans(),
 )
 def test_set_batch_matches_per_set_kernels(seed, counts, interleave):
-    """Batch projections and distances agree with each set's own, whether
+    """Batch projections and distances, each set's project_many and the
+    batch's paired projections agree with each set's own project, whether
     every family is a contiguous run (slice path) or interleaved (index path)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
@@ -293,6 +313,11 @@ def test_set_batch_matches_per_set_kernels(seed, counts, interleave):
         assert close(batch.distances(x), np.array([s.distance(x) for s in sets]))
     want_many = np.array([[s.distance(x) for s in sets] for x in pts])
     assert close(batch.distances_many(pts), want_many)
+    for s in sets:
+        assert close(s.project_many(pts), np.array([s.project(x) for x in pts]))
+    paired = rng.normal(scale=3.0, size=(len(sets), n))
+    want_paired = np.array([s.project(x) for s, x in zip(sets, paired)])
+    assert close(batch.paired_projections(paired), want_paired)
 
 
 class TestInstanceCache:
