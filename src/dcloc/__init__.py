@@ -33,6 +33,7 @@ from .inner import (
     InnerResult,
     NotInConstraint,
     OnTargetSet,
+    dual_solve,
     phi,
     solve_inner,
     subgradient_solve,

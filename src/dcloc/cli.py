@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, dca, instance_io, oracle
 from .geometry import Ball, GeometryError
-from .inner import InnerConfig, NotInConstraint
+from .inner import INNER_METHODS, InnerConfig, NotInConstraint
 from .model import ProblemInstance, existence_classify, require_valid, validate_instance
 
 EXIT_OK = 0
@@ -47,9 +47,12 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     try:
         span, m = text.split("@")
         lo, hi = span.split("..")
-        return float(lo), float(hi), int(m)
+        lo, hi, m = float(lo), float(hi), int(m)
     except ValueError:
         raise instance_io.ParseError(f"bad grid spec {text!r}, expected lo..hi@m")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise instance_io.ParseError(f"grid bounds must be finite, got {text!r}")
+    return lo, hi, m
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -100,17 +103,20 @@ def _cmd_solve(args) -> int:
         raise instance_io.ValidationError(f"--starts must be at least 1, got {args.starts}")
     inst = _load_solve_instance(args)
     warnings = validate_instance(inst)
-    cfg = dca.DcaConfig(
-        lam=args.lam,
-        max_outer=args.max_outer,
-        outer_step_tol=args.outer_tol,
-        inner=InnerConfig(
-            method=args.inner_method,
-            max_iters=args.inner_iters,
-            step_tol=args.inner_tol,
-        ),
-        record_trajectory=args.trajectory is not None,
-    )
+    try:
+        cfg = dca.DcaConfig(
+            lam=args.lam,
+            max_outer=args.max_outer,
+            outer_step_tol=args.outer_tol,
+            inner=InnerConfig(
+                method=args.inner_method,
+                max_iters=args.inner_iters,
+                step_tol=args.inner_tol,
+            ),
+            record_trajectory=args.trajectory is not None,
+        )
+    except ValueError as exc:
+        raise instance_io.ValidationError(f"bad solver option: {exc}") from exc
     if args.starts > 1 or args.x0 is None:
         report = dca.multi_start_solve(
             inst, cfg, n_starts=args.starts, seed=args.seed
@@ -187,11 +193,14 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = instance_io.load_instance(args.instance)
     lo, hi, m = _parse_grid(args.grid)
-    spec = oracle.GridSpec(
-        lower=np.full(inst.dimension, lo),
-        upper=np.full(inst.dimension, hi),
-        points_per_axis=m,
-    )
+    try:
+        spec = oracle.GridSpec(
+            lower=np.full(inst.dimension, lo),
+            upper=np.full(inst.dimension, hi),
+            points_per_axis=m,
+        )
+    except ValueError as exc:
+        raise instance_io.ParseError(f"bad grid spec {args.grid!r}: {exc}") from exc
     result = oracle.grid_search(inst, spec)
     _emit(
         {
@@ -253,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-outer", type=int, default=200)
     solve.add_argument("--outer-tol", type=float, default=1e-8)
     solve.add_argument(
-        "--inner-method", choices=["weiszfeld", "subgradient", "auto"], default="auto"
+        "--inner-method", choices=INNER_METHODS, default="auto"
     )
     solve.add_argument("--inner-iters", type=int, default=1000)
     solve.add_argument("--inner-tol", type=float, default=1e-10)

@@ -11,12 +11,20 @@ after the configured iteration budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import membership_tol, row_norms
-from .inner import InnerConfig, InnerProblem, InnerResult, NotInConstraint, solve_inner
+from .inner import (
+    InnerConfig,
+    InnerProblem,
+    InnerResult,
+    NotInConstraint,
+    _require_tolerance,
+    solve_inner,
+)
 from .model import ProblemInstance, evaluate_objective
 
 __all__ = [
@@ -32,11 +40,20 @@ __all__ = [
 
 @dataclass
 class DcaConfig:
+    """Outer solver options, checked at construction (ValueError)."""
+
     lam: float = 1.0
     max_outer: int = 200
     outer_step_tol: float = 1e-8
     inner: InnerConfig = field(default_factory=InnerConfig)
     record_trajectory: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
+        _require_tolerance("outer_step_tol", self.outer_step_tol)
 
 
 @dataclass

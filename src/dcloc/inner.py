@@ -5,13 +5,18 @@ plus a quadratic term minus a linear term, over the constraint set.  The
 quadratic term makes the objective strongly convex, so the minimizer is
 unique.  The primary solver is a fixed-point iteration that averages the
 projections onto the attraction sets with reciprocal-distance weights and
-projects back onto the constraint; a projected subgradient method with
-diminishing 1/l steps serves as a fallback for iterates landing exactly on an
-attraction set (where the fixed-point map divides by zero).
+projects back onto the constraint.  When an iterate lands exactly on an
+attraction set (where the fixed-point map divides by zero) the ``auto`` route
+hands over to ``dual_solve``: accelerated proximal gradient (FISTA) on the
+dual problem, built from the same projections, which stops on a certified
+primal-dual gap and reports it as ``InnerResult.gap``.  A projected
+subgradient method with diminishing 1/l steps remains selectable; it has no
+stopping test and no certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,7 @@ __all__ = [
     "weiszfeld_map",
     "weiszfeld_solve",
     "subgradient_solve",
+    "dual_solve",
     "solve_inner",
 ]
 
@@ -86,12 +92,38 @@ class InnerProblem:
         return self._weights
 
 
+INNER_METHODS = ("auto", "weiszfeld", "subgradient")
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass
 class InnerConfig:
-    method: str = "auto"  # weiszfeld | subgradient | auto
+    """Inner solver options, checked at construction (ValueError)."""
+
+    method: str = "auto"  # one of INNER_METHODS
     max_iters: int = 1000
-    step_tol: float = 1e-10
+    step_tol: float = 1e-10  # fixed-point step norm
+    gap_tol: float = 1e-13  # dual route: gap relative to 1 + |value|
     subgradient_step_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.method not in INNER_METHODS:
+            raise ValueError(
+                f"unknown inner method {self.method!r}, expected one of {INNER_METHODS}"
+            )
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        _require_tolerance("step_tol", self.step_tol)
+        _require_tolerance("gap_tol", self.gap_tol)
+        if not (math.isfinite(self.subgradient_step_scale) and self.subgradient_step_scale > 0):
+            raise ValueError(
+                f"subgradient_step_scale must be finite and positive, "
+                f"got {self.subgradient_step_scale}"
+            )
 
 
 @dataclass
@@ -101,6 +133,9 @@ class InnerResult:
     iterations: int
     converged: bool
     method_used: str
+    # dual route: value minus the best dual lower bound on the minimum; None
+    # for routes without a certificate
+    gap: float | None = None
 
 
 def phi(prob: InnerProblem, x) -> float:
@@ -210,33 +245,92 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
     )
 
 
+def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z = v - sum_i w_i u_i`` and the primal point ``P_C(z / lam)`` it
+    determines (the minimizer of lam/2 |x|^2 - z.x over the constraint)."""
+    z = prob.v - prob.weights @ u
+    return z, prob.constraint.project(z / prob.lam)
+
+
+def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
+    """Accelerated proximal gradient (FISTA) on the dual, stopped on the gap.
+
+    The distance to set i is d_i(x) = max over |u_i| <= 1 of u_i.x - s_i(u_i),
+    with s_i the support function of the set.  For dual variables u (one row
+    per attraction set) let z = v - sum_i w_i u_i and x(u) = P_C(z / lam); the
+    dual value D(u) = lam/2 |x(u)|^2 - z.x(u) - sum_i w_i s_i(u_i) bounds the
+    inner minimum from below.  Its smooth part has gradient w_i x(u) in u_i,
+    Lipschitz with constant sum_i w_i^2 / lam, and the proximal step in u_i
+    is the clipped residual of one paired projection onto set i (Moreau's
+    decomposition of the distance function's prox), which also attains
+    s_i at the new u_i.  So one iteration costs two constraint projections and
+    two batch projections, on or off the attraction sets.
+
+    The best primal value among ``x0`` and the points x(u) and the best dual
+    value give the gap; the solve stops, with ``converged=True``, once it is
+    at most ``gap_tol * (1 + |value|)``.  The returned ``x`` is that best
+    primal point, always feasible.  By lam-strong convexity the minimizer x*
+    satisfies |x - x*| <= sqrt(2 * gap / lam).  The momentum restarts
+    whenever it points against the latest proximal step (the adaptive restart
+    of O'Donoghue and Candes, Found. Comput. Math. 2015), which cuts the
+    iteration count severalfold where many sets overlap.
+    """
+    cfg = cfg or InnerConfig()
+    best_x = _require_feasible(prob, x0)
+    if not prob.attractions:  # no dual variables: P_C(v / lam) is the minimizer
+        x = prob.constraint.project(prob.v / prob.lam)
+        return InnerResult(x, _phi_terms(prob, x)[0], 1, True, "dual", gap=0.0)
+    best_val = _phi_terms(prob, best_x)[0]
+    w = prob.weights
+    step = (prob.lam / float(w @ w)) * w[:, None]  # t * w_i, t = 1/L
+    u = np.zeros((w.size, best_x.size))
+    y, theta = u, 1.0
+    best_dual = -np.inf
+    gap = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        pts = _dual_primal(prob, y)[1] + y / step
+        proj = prob.batch.paired_projections(pts)
+        u_next = step * (pts - proj)
+        norms = row_norms(u_next)
+        outside = norms > 1.0
+        u_next[outside] /= norms[outside, None]
+        z, x = _dual_primal(prob, u_next)
+        dual = 0.5 * prob.lam * float(x @ x) - float(z @ x)
+        dual -= float(w @ np.einsum("ij,ij->i", u_next, proj))
+        value = _phi_terms(prob, x)[0]
+        if value < best_val:
+            best_val, best_x = value, x
+        best_dual = max(best_dual, dual)
+        gap = best_val - best_dual
+        if gap <= cfg.gap_tol * (1.0 + abs(best_val)):
+            converged = True
+            break
+        if np.vdot(y - u_next, u_next - u) > 0:  # momentum against the step
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        y = u_next + ((theta - 1.0) / theta_next) * (u_next - u)
+        u, theta = u_next, theta_next
+    return InnerResult(best_x, best_val, iterations, converged, "dual", gap=float(gap))
+
+
 def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
     """Dispatch on the configured method.
 
-    ``auto`` runs the fixed-point solver and falls back to the subgradient
-    method when an iterate lands on an attraction set; the fallback restarts
-    from the point where the fixed-point map became undefined and the better
-    of that point and the subgradient result is kept.
+    ``auto`` runs the fixed-point solver and, when an iterate lands on an
+    attraction set, falls back to the certified dual solve (``method_used``
+    ``"dual"``, with ``gap`` set), which starts from the point where the
+    fixed-point map became undefined and never returns a worse one.
     """
     cfg = cfg or InnerConfig()
+    if cfg.method == "auto":
+        try:
+            return weiszfeld_solve(prob, x0, cfg)
+        except OnTargetSet as stop:
+            return dual_solve(prob, prob.constraint.project(stop.x), cfg)
     if cfg.method == "weiszfeld":
         return weiszfeld_solve(prob, x0, cfg)
     if cfg.method == "subgradient":
         return subgradient_solve(prob, x0, cfg)
-    if cfg.method != "auto":
-        raise ValueError(f"unknown inner method {cfg.method!r}")
-    try:
-        return weiszfeld_solve(prob, x0, cfg)
-    except OnTargetSet as stop:
-        resume = prob.constraint.project(stop.x)
-        result = subgradient_solve(prob, resume, cfg)
-        resume_val = phi(prob, resume)
-        if resume_val < result.value:
-            result = InnerResult(
-                x=resume,
-                value=resume_val,
-                iterations=result.iterations,
-                converged=False,
-                method_used="subgradient",
-            )
-        return result
+    raise ValueError(f"unknown inner method {cfg.method!r}")

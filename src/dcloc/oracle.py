@@ -49,6 +49,8 @@ class GridSpec:
         self.points_per_axis = int(self.points_per_axis)
         if self.points_per_axis < 2:
             raise ValueError("need at least two grid points per axis")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValueError("grid bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("grid requires lower < upper componentwise")
 

@@ -24,6 +24,7 @@ from dcloc import (
     classify_point,
     criticality_residual,
     dca_solve,
+    dual_solve,
     evaluate_objective,
     evaluate_objective_many,
     existence_classify,
@@ -227,6 +228,34 @@ def test_inner_route_agreement(capsys):
         capsys,
         f"[PASS] inner route agreement: 50/50 within value tolerance, "
         f"{fast}/50 fixed-point runs converged within 200 iterations",
+    )
+
+
+def test_dual_route_agreement(capsys):
+    """The certified dual route agrees with the fixed-point route to 1e-9
+    relative on the 50 subproblems of the route-agreement check."""
+    rng = np.random.default_rng(101)
+    worst = 0.0
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        inst = random_instance(rng, n, separated=True)
+        prob = InnerProblem(
+            v=rng.normal(size=n),
+            lam=float(rng.uniform(0.5, 2.0)),
+            attractions=inst.attractions,
+            constraint=inst.constraint,
+        )
+        x0 = inst.constraint.project(rng.normal(size=n))
+        w = weiszfeld_solve(prob, x0, InnerConfig(max_iters=200, step_tol=1e-10))
+        d = dual_solve(prob, x0)
+        assert d.converged and d.gap <= InnerConfig().gap_tol * (1 + abs(d.value))
+        rel = abs(w.value - d.value) / (1 + abs(w.value))
+        assert rel <= 1e-9
+        worst = max(worst, rel)
+    report(
+        capsys,
+        f"[PASS] dual route agreement: 50/50 certified, values within "
+        f"{worst:.1e} relative of the fixed-point route",
     )
 
 

@@ -66,12 +66,12 @@ class TestDcaStep:
 class TestDcaSolve:
     def test_line_instance_optimum(self):
         report = dca_solve(line_instance(), [3.0, 0.5])
-        assert np.isclose(report.final_value, -2.0, atol=1e-6)
-        assert abs(report.final_x[1]) <= 1e-6
+        assert np.isclose(report.final_value, -2.0, atol=1e-8)
+        assert abs(report.final_x[1]) <= 1e-8
         assert report.termination == "step_tol"
-        assert report.criticality_residual <= 1e-6
+        assert report.criticality_residual <= 1e-8
         # the line attractor meets the ball constraint, so the fallback runs
-        assert "subgradient" in report.inner_methods_used
+        assert "dual" in report.inner_methods_used
 
     def test_trajectory_recorded(self):
         cfg = DcaConfig(record_trajectory=True)
@@ -97,11 +97,39 @@ class TestDcaSolve:
                 decrease = prev.f_value - cur.f_value
                 assert decrease >= 0.5 * cfg.lam * cur.step_norm**2 - 1e-7
 
+    def test_sufficient_decrease_line_fixture(self):
+        # every step from these starts takes the certified dual fallback
+        cfg = DcaConfig(record_trajectory=True)
+        for x0 in ([3.0, 0.5], [-6.0, -0.9], [0.0, 0.2], [8.0, -0.01]):
+            report = dca_solve(line_instance(), x0, cfg)
+            traj = report.trajectory
+            assert report.inner_methods_used == ["dual"]
+            assert len(traj) > 2
+            for prev, cur in zip(traj, traj[1:]):
+                decrease = prev.f_value - cur.f_value
+                assert decrease >= 0.5 * cfg.lam * cur.step_norm**2 - 1e-12
+            assert np.isclose(report.final_value, -2.0, atol=1e-12)
+
     def test_max_outer_termination(self):
         cfg = DcaConfig(max_outer=1, outer_step_tol=0.0)
         report = dca_solve(push_pull_1d(), [0.2], cfg)
         assert report.termination == "max_outer"
         assert report.outer_iterations == 1
+
+
+class TestDcaConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lam": 0.0}, "lambda must be finite and positive"),
+        ({"lam": -1.0}, "lambda must be finite and positive"),
+        ({"lam": float("nan")}, "lambda must be finite and positive"),
+        ({"lam": float("inf")}, "lambda must be finite and positive"),
+        ({"max_outer": 0}, "max_outer must be at least 1"),
+        ({"outer_step_tol": float("nan")}, "outer_step_tol must be finite"),
+        ({"outer_step_tol": -1.0}, "outer_step_tol must be finite"),
+    ])
+    def test_rejects_bad_options(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DcaConfig(**kwargs)
 
 
 class TestCriticalityResidual:

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcloc import (
     AxisBox,
     Ball,
+    Halfspace,
     InnerConfig,
     InnerProblem,
+    InnerResult,
     NotInConstraint,
     OnTargetSet,
     Singleton,
     WeightedSet,
+    dual_solve,
     phi,
     solve_inner,
     subgradient_solve,
     weiszfeld_map,
     weiszfeld_solve,
 )
-from conftest import random_instance
+from conftest import random_instance, random_set
 
 INF = np.inf
 
@@ -161,12 +166,13 @@ class TestSubgradientSolve:
         assert np.isclose(result.value, -10.0, atol=1e-2)
 
     def test_never_claims_convergence(self):
-        # no stopping test: neither the method nor the auto fallback, which
-        # hands over to it, has evidence that the iterate is the minimizer
+        # no stopping test, so no evidence that the iterate is the minimizer;
+        # the auto fallback hands over to the dual route, which certifies it
         result = subgradient_solve(single_target(), [0.0, 0.0], InnerConfig(max_iters=50))
         assert result.iterations == 50 and result.converged is False
         fallback = solve_inner(single_target(alpha=3.0), [0.0, 0.0])
-        assert fallback.method_used == "subgradient" and fallback.converged is False
+        assert fallback.method_used == "dual" and fallback.converged is True
+        assert fallback.gap <= InnerConfig().gap_tol * (1.0 + abs(fallback.value))
 
 
 class TestSolveInner:
@@ -180,8 +186,9 @@ class TestSolveInner:
         # iteration walks into it and hands over to the fallback
         prob = single_target(alpha=3.0)
         result = solve_inner(prob, [0.0, 0.0])
-        assert result.method_used == "subgradient"
-        assert np.allclose(result.x, [2.0, 0.0], atol=1e-4)
+        assert result.method_used == "dual" and result.converged is True
+        assert result.gap <= InnerConfig().gap_tol * (1.0 + abs(result.value))
+        assert np.allclose(result.x, [2.0, 0.0], atol=1e-8)
         assert np.isclose(result.value, 2.0, atol=1e-6)
 
     def test_explicit_method_selection(self):
@@ -199,3 +206,126 @@ class TestSolveInner:
     def test_nonpositive_quadratic_rejected(self):
         with pytest.raises(ValueError):
             InnerProblem(v=[0.0], lam=0.0, attractions=[], constraint=AxisBox([-INF], [INF]))
+
+
+class TestInnerConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "newton"}, "unknown inner method"),
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"step_tol": float("nan")}, "step_tol must be finite"),
+        ({"step_tol": -1e-3}, "step_tol must be finite"),
+        ({"gap_tol": float("inf")}, "gap_tol must be finite"),
+        ({"gap_tol": -1.0}, "gap_tol must be finite"),
+        ({"subgradient_step_scale": 0.0}, "subgradient_step_scale must be finite"),
+    ])
+    def test_rejects_bad_options(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            InnerConfig(**kwargs)
+
+
+def certified(result: InnerResult, cfg: InnerConfig | None = None) -> bool:
+    tol = (cfg or InnerConfig()).gap_tol * (1.0 + abs(result.value))
+    return result.converged is True and result.gap <= tol
+
+
+class TestDualSolve:
+    # minimizers on an attraction set, where the fixed-point map is undefined:
+    # (problem, start, minimizer, minimum value)
+    ON_SET = {
+        # |x - (2,0)| pulled by weight 3 > |d/dx of |x|^2/2| = 2 at (2,0)
+        "singleton": (single_target(alpha=3.0), [0.0, 0.0], [2.0, 0.0], 2.0),
+        # v/lam = (3,0) outside the unit disk; weight 3 holds x on the circle
+        "ball": (
+            InnerProblem([3.0, 0.0], 1.0, [WeightedSet(Ball([0, 0], 1.0), 3.0)], free2()),
+            [0.0, 0.0], [1.0, 0.0], -2.5,
+        ),
+        # the line fixture's inner problem: |x_2| keeps x_2 at 0 against v_2 = 0.5
+        "line box": (
+            InnerProblem(
+                [3.0, 0.5], 1.0,
+                [WeightedSet(AxisBox([-INF, 0], [INF, 0]), 1.0)],
+                Ball([0, 0], 10.0),
+            ),
+            [3.0, 0.0], [3.0, 0.0], -4.5,
+        ),
+        # distance max(x_2, 0) keeps x_2 at 0 against v_2 = 0.5
+        "halfspace": (
+            InnerProblem([1.0, 0.5], 1.0, [WeightedSet(Halfspace([0, 1], 0.0), 1.0)], free2()),
+            [1.0, -1.0], [1.0, 0.0], -0.5,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(ON_SET))
+    def test_on_set_minimizer_certified(self, family):
+        prob, x0, x_star, value = self.ON_SET[family]
+        result = dual_solve(prob, x0)
+        assert result.method_used == "dual" and certified(result)
+        assert np.allclose(result.x, x_star, atol=1e-8)
+        assert np.isclose(result.value, value, atol=1e-10)
+        # the auto route reaches the same certificate through the fallback
+        assert certified(solve_inner(prob, x0))
+
+    def test_no_attractions_exact(self):
+        prob = InnerProblem(v=[3.0, 0.0], lam=2.0, attractions=[], constraint=Ball([0, 0], 1.0))
+        result = dual_solve(prob, [0.0, 0.0])
+        assert certified(result) and result.gap == 0.0
+        assert np.allclose(result.x, [1.0, 0.0])
+
+    def test_never_worse_than_start(self):
+        # one iteration cannot certify, but the start is kept when it is better
+        prob = single_target(alpha=3.0)
+        result = dual_solve(prob, [2.0, 0.0], InnerConfig(max_iters=1, gap_tol=0.0))
+        assert result.value <= phi(prob, [2.0, 0.0])
+
+    def test_uncertified_budget_not_converged(self):
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, 2)
+        prob = InnerProblem.for_instance(inst, rng.normal(size=2), 0.5)
+        result = dual_solve(prob, [0.0, 0.0], InnerConfig(max_iters=1))
+        assert result.iterations == 1 and result.gap > 1.0
+        assert result.converged is False
+        assert prob.constraint.contains(result.x)
+        assert certified(dual_solve(prob, [0.0, 0.0]))
+
+    def test_start_outside_constraint(self):
+        with pytest.raises(NotInConstraint):
+            dual_solve(single_target(constraint=Ball([0, 0], 0.5)), [2.0, 2.0])
+
+    def test_routes_without_certificate_report_no_gap(self):
+        prob = single_target()
+        assert weiszfeld_solve(prob, [0.0, 0.0]).gap is None
+        assert subgradient_solve(prob, [0.0, 0.0], InnerConfig(max_iters=5)).gap is None
+
+
+FAMILIES = ("point", "ball", "box", "halfspace")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.booleans(),
+    st.sampled_from(("ball", "box", "halfspace")),
+)
+def test_dual_gap_certificate(seed, counts, interleave, constraint_kind):
+    """Over every attraction family, contiguous or interleaved, the dual route
+    stops on its gap certificate, the gap is a valid one (nonnegative up to
+    rounding relative to the value's scale) and the returned point is in C."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    sets = [random_set(rng, n, kind=k) for k, c in zip(FAMILIES, counts) for _ in range(c)]
+    if interleave:
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+    attractions = [WeightedSet(s, float(rng.uniform(0.1, 3.0))) for s in sets]
+    constraint = random_set(rng, n, kind=constraint_kind)
+    prob = InnerProblem(
+        rng.normal(scale=3.0, size=n), float(rng.uniform(0.1, 3.0)), attractions, constraint
+    )
+    # the iteration count has a long tail where many sets overlap
+    cfg = InnerConfig(max_iters=5000)
+    result = dual_solve(prob, constraint.project(rng.normal(scale=3.0, size=n)), cfg)
+    scale = 1.0 + abs(result.value)
+    assert certified(result, cfg)
+    assert -1e-12 * scale <= result.gap <= cfg.gap_tol * scale
+    assert constraint.contains(result.x)
+    assert result.value == phi(prob, result.x)

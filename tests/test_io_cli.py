@@ -288,6 +288,24 @@ class TestCliSolve:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--lambda", "0"], "lambda must be finite and positive"),
+        (["--lambda", "nan"], "lambda must be finite and positive"),
+        (["--max-outer", "0"], "max_outer must be at least 1"),
+        (["--outer-tol", "nan"], "outer_step_tol must be finite"),
+        (["--inner-iters", "0"], "max_iters must be at least 1"),
+        (["--inner-tol", "-1"], "step_tol must be finite"),
+    ])
+    def test_bad_solver_option_is_validation_error(self, fixtures_dir, capsys, option, message):
+        code = main([
+            "solve",
+            "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+            *option,
+        ])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bad solver option" in err and message in err
+
     def test_infeasible_start_is_solver_error(self, fixtures_dir, capsys):
         code = main([
             "solve",
@@ -357,6 +375,22 @@ class TestCliOracle:
             "--grid", "banana",
         ])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid, message", [
+        ("nan..1@5", "grid bounds must be finite"),
+        ("-inf..1@5", "grid bounds must be finite"),
+        ("0..inf@5", "grid bounds must be finite"),
+        ("1..0@5", "lower < upper"),
+        ("0..1@1", "at least two grid points"),
+    ])
+    def test_bad_grid_bounds_are_validation_errors(self, fixtures_dir, capsys, grid, message):
+        code = main([
+            "oracle",
+            "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+            f"--grid={grid}",
+        ])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 class TestCliGen:

@@ -92,6 +92,15 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             GridSpec(np.array([0.0]), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([-INF, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, INF]),
+    ])
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            GridSpec(np.array(lower), np.array(upper), 5)
+
     def test_minimum_below_all_samples(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
