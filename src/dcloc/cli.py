@@ -50,8 +50,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, m = float(lo), float(hi), int(m)
     except ValueError:
         raise instance_io.ParseError(f"bad grid spec {text!r}, expected lo..hi@m")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise instance_io.ParseError(f"grid bounds must be finite, got {text!r}")
     return lo, hi, m
 
 

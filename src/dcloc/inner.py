@@ -94,6 +94,9 @@ class InnerProblem:
 
 INNER_METHODS = ("auto", "weiszfeld", "subgradient")
 
+# dual route: stop once the primal-dual gap is at most GAP_TOL * (1 + |value|)
+GAP_TOL = 1e-13
+
 
 def _require_tolerance(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
@@ -107,7 +110,6 @@ class InnerConfig:
     method: str = "auto"  # one of INNER_METHODS
     max_iters: int = 1000
     step_tol: float = 1e-10  # fixed-point step norm
-    gap_tol: float = 1e-13  # dual route: gap relative to 1 + |value|
     subgradient_step_scale: float = 1.0
 
     def __post_init__(self):
@@ -118,7 +120,6 @@ class InnerConfig:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         _require_tolerance("step_tol", self.step_tol)
-        _require_tolerance("gap_tol", self.gap_tol)
         if not (math.isfinite(self.subgradient_step_scale) and self.subgradient_step_scale > 0):
             raise ValueError(
                 f"subgradient_step_scale must be finite and positive, "
@@ -268,7 +269,7 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
 
     The best primal value among ``x0`` and the points x(u) and the best dual
     value give the gap; the solve stops, with ``converged=True``, once it is
-    at most ``gap_tol * (1 + |value|)``.  The returned ``x`` is that best
+    at most ``GAP_TOL * (1 + |value|)``.  The returned ``x`` is that best
     primal point, always feasible.  By lam-strong convexity the minimizer x*
     satisfies |x - x*| <= sqrt(2 * gap / lam).  The momentum restarts
     whenever it points against the latest proximal step (the adaptive restart
@@ -304,7 +305,7 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
             best_val, best_x = value, x
         best_dual = max(best_dual, dual)
         gap = best_val - best_dual
-        if gap <= cfg.gap_tol * (1.0 + abs(best_val)):
+        if gap <= GAP_TOL * (1.0 + abs(best_val)):
             converged = True
             break
         if np.vdot(y - u_next, u_next - u) > 0:  # momentum against the step

@@ -37,6 +37,7 @@ from dcloc import (
     weiszfeld_map,
     weiszfeld_solve,
 )
+from dcloc.inner import GAP_TOL
 from dcloc.instance_io import load_instance, load_points_csv
 from conftest import FIXTURES, random_instance
 
@@ -248,7 +249,7 @@ def test_dual_route_agreement(capsys):
         x0 = inst.constraint.project(rng.normal(size=n))
         w = weiszfeld_solve(prob, x0, InnerConfig(max_iters=200, step_tol=1e-10))
         d = dual_solve(prob, x0)
-        assert d.converged and d.gap <= InnerConfig().gap_tol * (1 + abs(d.value))
+        assert d.converged and d.gap <= GAP_TOL * (1 + abs(d.value))
         rel = abs(w.value - d.value) / (1 + abs(w.value))
         assert rel <= 1e-9
         worst = max(worst, rel)
