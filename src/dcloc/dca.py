@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import membership_tol, row_norms
+from .geometry import coordinate_norms, membership_tol
 from .inner import (
     InnerConfig,
     InnerProblem,
@@ -84,15 +84,12 @@ def _repulsion_subgradient(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """
     if not inst.repulsions:
         return np.zeros(inst.dimension)
-    proj = inst.repulsion_batch.projections(x)
-    diff = x - proj
-    dists = row_norms(diff)
-    safe = dists > membership_tol(x)
-    out = np.zeros(inst.dimension)
-    if np.any(safe):
-        w = inst.repulsion_weights[safe] / dists[safe]
-        out = np.sum(w[:, None] * diff[safe], axis=0)
-    return out
+    diff = x[:, None] - inst.repulsion_batch.projections(x)
+    dists = coordinate_norms(diff)
+    scale = np.divide(
+        inst.repulsion_weights, dists, out=np.zeros_like(dists), where=dists > membership_tol(x)
+    )
+    return diff @ scale
 
 
 def _step(

@@ -60,14 +60,22 @@ def membership_tol(x: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(x)))
 
 
-def row_norms(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norms along the last axis of ``d``, written to ``out`` if given.
+def coordinate_norms(d: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms over the leading (coordinate) axis of ``d``, or of
+    ``d - minus`` (the two broadcast against each other after that axis).
 
-    Unlike ``np.linalg.norm(d, axis=-1)`` this allocates no squared copy of
-    ``d``, which matters for the (N, m, n) arrays of bulk distance evaluation.
+    Accumulated one coordinate at a time, so neither the difference nor a
+    squared copy is built in full: the temporaries have the result's shape.
     """
-    sq = np.einsum("...i,...i->...", d, d, out=out)
-    return np.sqrt(sq, out=sq)
+    out = None
+    for k, c in enumerate(d):
+        if minus is None:
+            c = c * c
+        else:
+            c = c - minus[k]
+            c *= c
+        out = c if out is None else np.add(out, c, out=out)
+    return np.sqrt(out, out=out)
 
 
 @dataclass(eq=False)
@@ -95,10 +103,14 @@ class ConvexSet:
 
     @staticmethod
     def _project_array(x: np.ndarray, *params) -> np.ndarray:
-        """Projections of the points ``x`` of shape ``(..., n)`` onto the sets
-        whose stacked ``_key()`` parameters broadcast against ``x``: the array
-        kernel behind ``project_many`` and ``model.SetBatch``.  The result is
-        a fresh array, or for singletons the point parameter itself."""
+        """Projections of the points ``x``, coordinate axis first (shape
+        ``(n, ...)``), onto the sets whose stacked ``_key()`` parameters
+        broadcast against ``x``: point-like parameters of shape ``(n, ...)``
+        and scalar ones over the trailing axes, such as ``(n, m)`` and
+        ``(m,)`` for m sets.  The set axis is then the last, so elementwise
+        work runs in contiguous loops over the sets.  This is the array kernel
+        behind ``project_many`` and ``model.SetBatch``.  The result is a fresh
+        array, or for singletons the point parameter itself."""
         raise NotImplementedError
 
     def project_many(self, pts: np.ndarray) -> np.ndarray:
@@ -106,10 +118,12 @@ class ConvexSet:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (N, {self.dim}) points, got shape {pts.shape}")
-        proj = self._project_array(pts, *self._key())
-        if proj.shape != pts.shape:  # a singleton's own point
-            proj = np.broadcast_to(proj, pts.shape).copy()
-        return proj
+        cols = pts.T
+        params = (p[:, None] if np.ndim(p) else p for p in self._key())
+        proj = self._project_array(cols, *params)
+        if not proj.flags.owndata:  # a singleton's own point
+            proj = np.broadcast_to(proj, cols.shape).copy()
+        return proj.T
 
     def distance(self, x) -> float:
         x = self._check_dim(x)
@@ -224,8 +238,7 @@ class Ball(ConvexSet):
     @staticmethod
     def _project_array(x, center, radius):
         d = x - center
-        nd = row_norms(d)
-        d *= np.where(nd > radius, radius / np.maximum(nd, 1e-300), 1.0)[..., None]
+        d *= radius / np.maximum(coordinate_norms(d), radius)
         d += center
         return d
 
@@ -295,7 +308,8 @@ class AxisBox(ConvexSet):
 
     @staticmethod
     def _project_array(x, lower, upper):
-        return np.clip(x, lower, upper)
+        out = np.maximum(x, lower)
+        return np.minimum(out, upper, out=out)
 
     project_many = ConvexSet.project_many
 
@@ -371,8 +385,8 @@ class Halfspace(ConvexSet):
 
     @staticmethod
     def _project_array(x, normal, offset):
-        excess = np.maximum(np.sum(x * normal, axis=-1) - offset, 0.0)
-        return x - (excess / np.sum(normal * normal, axis=-1))[..., None] * normal
+        excess = np.maximum(np.sum(x * normal, axis=0) - offset, 0.0)
+        return x - (excess / np.sum(normal * normal, axis=0)) * normal
 
     project_many = ConvexSet.project_many
 

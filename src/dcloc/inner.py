@@ -6,10 +6,11 @@ quadratic term makes the objective strongly convex, so the minimizer is
 unique.  The primary solver is a fixed-point iteration that averages the
 projections onto the attraction sets with reciprocal-distance weights and
 projects back onto the constraint.  When an iterate lands exactly on an
-attraction set (where the fixed-point map divides by zero) the ``auto`` route
-hands over to ``dual_solve``: accelerated proximal gradient (FISTA) on the
-dual problem, built from the same projections, which stops on a certified
-primal-dual gap and reports it as ``InnerResult.gap``.  A projected
+attraction set (where the fixed-point map divides by zero), or the iteration
+budget runs out first, the ``auto`` route hands over to ``dual_solve``:
+accelerated proximal gradient (FISTA) on the dual problem, built from the
+same projections, which stops on a certified primal-dual gap and reports it
+as ``InnerResult.gap``.  A projected
 subgradient method with diminishing 1/l steps remains selectable; it has no
 stopping test and no certificate.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexSet, membership_tol, row_norms
+from .geometry import ConvexSet, coordinate_norms, membership_tol
 from .model import ProblemInstance, SetBatch, WeightedSet
 
 __all__ = [
@@ -146,12 +147,13 @@ def phi(prob: InnerProblem, x) -> float:
 
 def _phi_terms(prob: InnerProblem, x: np.ndarray):
     """``phi(prob, x)`` together with the residuals ``x - P_i(x)`` onto the
-    attraction sets and their norms (both None without attraction sets)."""
+    attraction sets, as the columns of an (n, m) array, and their norms (both
+    None without attraction sets)."""
     val = 0.5 * prob.lam * float(x @ x) - float(prob.v @ x)
     if not prob.attractions:
         return val, None, None
-    diff = x - prob.batch.projections(x)
-    dists = row_norms(diff)
+    diff = x[:, None] - prob.batch.projections(x)
+    dists = coordinate_norms(diff)
     return val + float(prob.weights @ dists), diff, dists
 
 
@@ -165,14 +167,13 @@ def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray:
     if not prob.attractions:
         return prob.v / prob.lam
     proj = prob.batch.projections(x)
-    dists = row_norms(x - proj)
+    dists = coordinate_norms(x[:, None], proj)
     threshold = membership_tol(x)
-    hit = np.nonzero(dists <= threshold)[0]
-    if hit.size:
-        raise OnTargetSet(int(hit[0]), x)
+    if dists.min() <= threshold:
+        raise OnTargetSet(int(np.flatnonzero(dists <= threshold)[0]), x)
     inv = prob.weights / dists
-    numer = inv @ proj + prob.v
-    denom = float(np.sum(inv)) + prob.lam
+    numer = proj @ inv + prob.v
+    denom = float(inv.sum()) + prob.lam
     return numer / denom
 
 
@@ -229,9 +230,7 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
         u = prob.lam * x - prob.v
         if diff is not None:
             safe = dists > threshold_scale * (1.0 + np.linalg.norm(x))
-            if np.any(safe):
-                scaled = (prob.weights[safe] / dists[safe])[:, None] * diff[safe]
-                u = u + np.sum(scaled, axis=0)
+            u = u + diff @ np.divide(prob.weights, dists, out=np.zeros_like(dists), where=safe)
         x = prob.constraint.project(x - (cfg.subgradient_step_scale / ell) * u)
         val, diff, dists = _phi_terms(prob, x)
         if val < best_val:
@@ -249,7 +248,7 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
 def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``z = v - sum_i w_i u_i`` and the primal point ``P_C(z / lam)`` it
     determines (the minimizer of lam/2 |x|^2 - z.x over the constraint)."""
-    z = prob.v - prob.weights @ u
+    z = prob.v - u @ prob.weights
     return z, prob.constraint.project(z / prob.lam)
 
 
@@ -257,10 +256,11 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
     """Accelerated proximal gradient (FISTA) on the dual, stopped on the gap.
 
     The distance to set i is d_i(x) = max over |u_i| <= 1 of u_i.x - s_i(u_i),
-    with s_i the support function of the set.  For dual variables u (one row
-    per attraction set) let z = v - sum_i w_i u_i and x(u) = P_C(z / lam); the
-    dual value D(u) = lam/2 |x(u)|^2 - z.x(u) - sum_i w_i s_i(u_i) bounds the
-    inner minimum from below.  Its smooth part has gradient w_i x(u) in u_i,
+    with s_i the support function of the set.  For dual variables u (an
+    (n, m) array, one column u_i per attraction set) let z = v - sum_i w_i u_i
+    and x(u) = P_C(z / lam); the dual value
+    D(u) = lam/2 |x(u)|^2 - z.x(u) - sum_i w_i s_i(u_i) bounds the inner
+    minimum from below.  Its smooth part has gradient w_i x(u) in u_i,
     Lipschitz with constant sum_i w_i^2 / lam, and the proximal step in u_i
     is the clipped residual of one paired projection onto set i (Moreau's
     decomposition of the distance function's prox), which also attains
@@ -283,23 +283,23 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
         return InnerResult(x, _phi_terms(prob, x)[0], 1, True, "dual", gap=0.0)
     best_val = _phi_terms(prob, best_x)[0]
     w = prob.weights
-    step = (prob.lam / float(w @ w)) * w[:, None]  # t * w_i, t = 1/L
-    u = np.zeros((w.size, best_x.size))
+    step = (prob.lam / float(w @ w)) * w  # t * w_i, t = 1/L
+    u = np.zeros((best_x.size, w.size))
     y, theta = u, 1.0
     best_dual = -np.inf
     gap = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        pts = _dual_primal(prob, y)[1] + y / step
+        pts = _dual_primal(prob, y)[1][:, None] + y / step
         proj = prob.batch.paired_projections(pts)
         u_next = step * (pts - proj)
-        norms = row_norms(u_next)
+        norms = coordinate_norms(u_next)
         outside = norms > 1.0
-        u_next[outside] /= norms[outside, None]
+        u_next[:, outside] /= norms[outside]
         z, x = _dual_primal(prob, u_next)
         dual = 0.5 * prob.lam * float(x @ x) - float(z @ x)
-        dual -= float(w @ np.einsum("ij,ij->i", u_next, proj))
+        dual -= float(np.einsum("ij,ij->j", u_next, proj) @ w)
         value = _phi_terms(prob, x)[0]
         if value < best_val:
             best_val, best_x = value, x
@@ -319,17 +319,20 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
 def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
     """Dispatch on the configured method.
 
-    ``auto`` runs the fixed-point solver and, when an iterate lands on an
-    attraction set, falls back to the certified dual solve (``method_used``
-    ``"dual"``, with ``gap`` set), which starts from the point where the
-    fixed-point map became undefined and never returns a worse one.
+    ``auto`` runs the fixed-point solver.  When an iterate lands on an
+    attraction set, or the iteration budget runs out before the step test
+    holds, it falls back to the certified dual solve (``method_used``
+    ``"dual"``, with ``gap`` set).  That starts from the point where the
+    fixed-point map became undefined, or from the last fixed-point iterate,
+    and never returns a worse one.
     """
     cfg = cfg or InnerConfig()
     if cfg.method == "auto":
         try:
-            return weiszfeld_solve(prob, x0, cfg)
+            result = weiszfeld_solve(prob, x0, cfg)
         except OnTargetSet as stop:
             return dual_solve(prob, prob.constraint.project(stop.x), cfg)
+        return result if result.converged else dual_solve(prob, result.x, cfg)
     if cfg.method == "weiszfeld":
         return weiszfeld_solve(prob, x0, cfg)
     if cfg.method == "subgradient":

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import AxisBox, ConvexSet, Singleton, row_norms, set_contains_set
+from .geometry import AxisBox, ConvexSet, Singleton, coordinate_norms, set_contains_set
 
 __all__ = [
     "WeightedSet",
@@ -49,14 +49,19 @@ class WeightedSet:
 
 
 class SetBatch:
-    """Vectorized projection/distance over a list of convex sets.
+    """Vectorized projection/distance over a list of m convex sets.
 
-    Stacks each shape family's ``_key()`` parameters, so that projecting onto
-    hundreds of sets costs one ``_project_array`` call per family.  Results
-    are in the original set order, and a one-family batch returns the kernel's
-    result as it is.  A family contiguous in that order is addressed by a
-    slice rather than an index array.  The stacked parameters are read-only,
-    since a singleton family's kernel returns them as its projections.
+    The batch is coordinate-major: it stacks each shape family's ``_key()``
+    parameters with the set axis last, point-like parameters as C-contiguous
+    ``(n, m_k)`` arrays and scalar ones as ``(m_k,)``, so that each
+    ``_project_array`` call broadcasts over the family's sets in contiguous
+    length-m_k loops, and projecting onto hundreds of sets costs one call
+    per family.  Results carry the set axis last, in the original set order:
+    ``(n, m)`` projections, ``(m,)`` and ``(N, m)`` distances.  A one-family
+    batch returns the kernel's result as it is.  A family contiguous in the
+    set order is addressed by a slice rather than an index array.  The
+    stacked parameters are read-only, since a singleton family's kernel
+    returns them as its projections.
     """
 
     def __init__(self, sets: list[ConvexSet]):
@@ -74,46 +79,50 @@ class SetBatch:
             # one key parameter at a time: a list of every member's key tuple
             # would outweigh the stacked arrays
             params = tuple(
-                _read_only(np.stack([sets[i]._key()[j] for i in indices]))
+                _read_only(np.stack([sets[i]._key()[j] for i in indices], axis=-1))
                 for j in range(len(sets[indices[0]]._key()))
             )
             self._groups.append((kind, where, params))
 
-    def _assemble(self, block, shape: tuple | None = None, axis: int = 0) -> np.ndarray:
-        """Array of ``shape`` (default (m, n)) whose slots along ``axis`` (one
-        per set) are filled family by family from ``block(kind, where, params)``."""
+    def _assemble(self, block, shape: tuple) -> np.ndarray:
+        """Array of ``shape`` whose last axis (one slot per set) is filled
+        family by family from ``block(kind, where, params)``."""
         if len(self._groups) == 1:
             return block(*self._groups[0])
-        out = np.empty(shape or (self.n_sets, self.dim))
-        lead = (slice(None),) * axis
+        out = np.empty(shape)
         for kind, where, params in self._groups:
-            out[lead + (where,)] = block(kind, where, params)
+            out[..., where] = block(kind, where, params)
         return out
 
     def projections(self, x: np.ndarray) -> np.ndarray:
-        """(m, n) array with row i the projection of ``x`` onto set i."""
-        return self._assemble(lambda kind, where, params: kind._project_array(x, *params))
+        """(n, m) array with column i the projection of the point ``x`` onto set i."""
+        col = x[:, None]
+        return self._assemble(
+            lambda kind, where, params: kind._project_array(col, *params),
+            (self.dim, self.n_sets),
+        )
 
     def paired_projections(self, pts: np.ndarray) -> np.ndarray:
-        """(m, n) array with row i the projection of ``pts[i]`` onto set i."""
+        """(n, m) array with column i the projection of ``pts[:, i]`` onto set i."""
         return self._assemble(
-            lambda kind, where, params: kind._project_array(pts[where], *params)
+            lambda kind, where, params: kind._project_array(pts[:, where], *params),
+            (self.dim, self.n_sets),
         )
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        return row_norms(x - self.projections(x))
+        """(m,) distances from the point ``x`` to each set."""
+        return coordinate_norms(x[:, None], self.projections(x))
 
     def distances_many(self, pts: np.ndarray) -> np.ndarray:
-        """(N, m) distances from each of N points to each of the m sets."""
-        rows = pts[:, None, :]
+        """(N, m) distances from each row of the (N, n) array ``pts`` to each set."""
+        cols = pts.T[:, :, None]
 
         def block(kind, where, params):
-            proj = kind._project_array(rows, *params)
-            if proj.flags.writeable:  # a fresh (N, m_k, n) array, not a parameter
-                return row_norms(np.subtract(rows, proj, out=proj))
-            return row_norms(rows - proj)
+            # point-like (n, m_k) parameters broadcast as (n, 1, m_k)
+            params = (p[:, None] if p.ndim == 2 else p for p in params)
+            return coordinate_norms(cols, kind._project_array(cols, *params))
 
-        return self._assemble(block, (pts.shape[0], self.n_sets), axis=1)
+        return self._assemble(block, (pts.shape[0], self.n_sets))
 
 
 @dataclass(eq=False)
@@ -357,16 +366,17 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         return diags
     batch = inst.attraction_batch
     project_constraint = inst.constraint.project_many
-    # streamed into one array: a list of per-set copies would set the memory peak
+    # streamed into one array: a list of per-set copies would set the memory
+    # peak; the (m, n) rows then work on as (n, m) columns
     selections = (w.set.selection_point() for w in inst.attractions)
     q = np.fromiter(selections, np.dtype((float, inst.dimension)), len(inst.attractions))
-    q = project_constraint(q)
+    q = project_constraint(q).T
     for _ in range(25):
-        q = project_constraint(batch.paired_projections(q))
-    gaps = row_norms(q - batch.paired_projections(q))
-    meets = gaps <= 1e-9 * (1.0 + row_norms(q))  # membership_tol, row by row
+        q = project_constraint(batch.paired_projections(q).T).T
+    gaps = coordinate_norms(q, batch.paired_projections(q))
+    meets = gaps <= 1e-9 * (1.0 + coordinate_norms(q))  # membership_tol, set by set
     return [
         f"attraction {i} intersects the constraint set; the fixed-point "
-        "inner solver may be inapplicable (subgradient fallback is used)"
+        "inner solver may be inapplicable (certified dual fallback is used)"
         for i in np.flatnonzero(meets)
     ]

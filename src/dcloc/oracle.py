@@ -25,7 +25,10 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 10**7
-_CHUNK = 1 << 16
+# rows x sets x dimension of one chunk of grid points.  Bulk distance
+# evaluation of a chunk holds at most (dimension + 2) x rows x sets floats:
+# 64 MiB in the plane.  A 1600-point grid over 1217 planar sets is one chunk.
+_CHUNK_ELEMENTS = 1 << 22
 
 
 class BudgetExceeded(ValueError):
@@ -69,7 +72,9 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
 
     Projection-then-evaluate keeps feasibility exact even when the constraint
     slices the grid region.  Ties are broken by the lexicographically smallest
-    minimizer.
+    minimizer.  Grid points are built and evaluated in chunks of at most
+    ``_CHUNK_ELEMENTS`` rows x sets x dimension, so memory stays bounded
+    whatever the grid size.
     """
     n = inst.dimension
     if n > 4:
@@ -83,14 +88,18 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     ]
     spacing = float(max((hi - lo) / (grid.points_per_axis - 1)
                         for lo, hi in zip(grid.lower, grid.upper)))
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    shape = (grid.points_per_axis,) * n
+    n_sets = len(inst.attractions) + len(inst.repulsions)
+    rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * n))
 
     diag = float(np.linalg.norm(grid.upper - grid.lower))
     best_val = np.inf
     best_rows: list[np.ndarray] = []
     min_dist = np.inf
-    for start in range(0, total, _CHUNK):
-        block = pts[start : start + _CHUNK]
+    for start in range(0, total, rows):
+        # rows start, start + 1, ... of the flattened "ij" meshgrid of the axes
+        idx = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
+        block = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
         proj = inst.constraint.project_many(block)
         min_dist = min(
             min_dist, float(np.min(np.linalg.norm(block - proj, axis=1)))

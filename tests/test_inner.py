@@ -21,7 +21,9 @@ from dcloc import (
     weiszfeld_map,
     weiszfeld_solve,
 )
+from dcloc.dca import _repulsion_subgradient
 from dcloc.inner import GAP_TOL
+from dcloc.instance_io import load_instance
 from conftest import random_instance, random_set
 
 INF = np.inf
@@ -191,6 +193,17 @@ class TestSolveInner:
         assert result.gap <= GAP_TOL * (1.0 + abs(result.value))
         assert np.allclose(result.x, [2.0, 0.0], atol=1e-8)
         assert np.isclose(result.value, 2.0, atol=1e-6)
+
+    def test_auto_hands_over_when_budget_runs_out(self, fixtures_dir):
+        # from this start on the line fixture the fixed-point iteration creeps
+        # toward the line y = 0 and spends its whole budget short of it
+        inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
+        x0 = np.array([-3.14, -0.995])
+        prob = InnerProblem.for_instance(inst, _repulsion_subgradient(inst, x0) + x0, 1.0)
+        assert weiszfeld_solve(prob, x0).converged is False
+        result = solve_inner(prob, x0)
+        assert result.method_used == "dual" and result.converged is True
+        assert np.allclose(result.x, [-3.14, 0.0], rtol=0.0, atol=1e-12)
 
     def test_explicit_method_selection(self):
         prob = single_target()

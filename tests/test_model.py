@@ -18,6 +18,9 @@ from dcloc import (
     existence_classify,
     validate_instance,
 )
+from dcloc.dca import _repulsion_subgradient
+from dcloc.geometry import membership_tol
+from dcloc.inner import InnerProblem, OnTargetSet, phi, weiszfeld_map
 from dcloc.model import SetBatch
 from conftest import random_instance, random_set
 
@@ -270,7 +273,7 @@ class TestValidateInstance:
         inst = ProblemInstance(2, [WeightedSet(S, 1.0) for S in sets], [], Ball([0, 0], 1.0))
         assert validate_instance(inst) == [
             f"attraction {i} intersects the constraint set; the fixed-point "
-            "inner solver may be inapplicable (subgradient fallback is used)"
+            "inner solver may be inapplicable (certified dual fallback is used)"
             for i in (1, 4, 5, 7)
         ]
 
@@ -309,7 +312,7 @@ def test_set_batch_matches_per_set_kernels(seed, counts, interleave):
 
     pts = rng.normal(scale=3.0, size=(int(rng.integers(1, 6)), n))
     for x in pts:
-        assert close(batch.projections(x), np.array([s.project(x) for s in sets]))
+        assert close(batch.projections(x).T, np.array([s.project(x) for s in sets]))
         assert close(batch.distances(x), np.array([s.distance(x) for s in sets]))
     want_many = np.array([[s.distance(x) for s in sets] for x in pts])
     assert close(batch.distances_many(pts), want_many)
@@ -317,7 +320,7 @@ def test_set_batch_matches_per_set_kernels(seed, counts, interleave):
         assert close(s.project_many(pts), np.array([s.project(x) for x in pts]))
     paired = rng.normal(scale=3.0, size=(len(sets), n))
     want_paired = np.array([s.project(x) for s, x in zip(sets, paired)])
-    assert close(batch.paired_projections(paired), want_paired)
+    assert close(batch.paired_projections(paired.T).T, want_paired)
 
 
 class TestInstanceCache:
@@ -327,3 +330,61 @@ class TestInstanceCache:
         assert inst.repulsion_weights is inst.repulsion_weights
         with pytest.raises(ValueError):
             inst.repulsion_weights[0] = 5.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, interleave):
+    """The fixed-point map, the inner objective, the repulsion subgradient and
+    bulk objective values, which all run on coordinate-major set batches,
+    agree with references built from each set's scalar ``project``, whether
+    every family is a contiguous run or interleaved."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+
+    def weighted(per_family):
+        sets = [random_set(rng, n, kind=k) for k, c in zip(FAMILIES, per_family) for _ in range(c)]
+        if interleave:
+            sets = [sets[i] for i in rng.permutation(len(sets))]
+        return [WeightedSet(s, float(rng.uniform(0.1, 3.0))) for s in sets]
+
+    inst = ProblemInstance(n, weighted(counts), weighted(repulsion_counts), free_space(n))
+    prob = InnerProblem.for_instance(inst, rng.normal(scale=3.0, size=n), float(rng.uniform(0.1, 3.0)))
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def residuals(group, x):
+        diff = np.array([x - w.set.project(x) for w in group]).reshape(-1, n)
+        return diff, np.array([math.sqrt(d @ d) for d in diff])
+
+    weights = np.array([w.weight for w in inst.attractions])
+    pts = rng.normal(scale=3.0, size=(int(rng.integers(1, 6)), n))
+    for x in pts:
+        diff, dists = residuals(inst.attractions, x)
+        assert close(phi(prob, x), 0.5 * prob.lam * (x @ x) - prob.v @ x + weights @ dists)
+        tol = membership_tol(x)
+        if np.any(dists <= tol):
+            with pytest.raises(OnTargetSet) as hit:
+                weiszfeld_map(prob, x)
+            assert hit.value.index == int(np.flatnonzero(dists <= tol)[0])
+        else:
+            inv = weights / dists
+            want = ((x - diff).T @ inv + prob.v) / (np.sum(inv) + prob.lam)
+            assert close(weiszfeld_map(prob, x), want)
+        diff, dists = residuals(inst.repulsions, x)
+        want = sum(
+            (w.weight / d) * r for w, r, d in zip(inst.repulsions, diff, dists) if d > tol
+        )
+        assert close(_repulsion_subgradient(inst, x), want + np.zeros(n))
+    want_many = np.array([
+        sum(w.weight * w.set.distance(x) for w in inst.attractions)
+        - sum(w.weight * w.set.distance(x) for w in inst.repulsions)
+        for x in pts
+    ])
+    assert close(evaluate_objective_many(inst, pts), want_many)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from dcloc import (
     grid_search,
     local_refine,
 )
+from dcloc import oracle
+from dcloc.instance_io import load_points_csv
 from dcloc.oracle import BudgetExceeded, EmptyIntersection
 from conftest import random_instance
 
@@ -115,6 +119,44 @@ class TestGridSearch:
                     L += float(np.sum(inst.repulsion_weights))
                 slack = L * result.spacing * np.sqrt(2)
                 assert result.best_value <= evaluate_objective(inst, x) + slack + 1e-9
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chunked_matches_single_chunk(self, monkeypatch, n):
+        # chunk boundaries must not change the minimum or the tie-break
+        inst = random_instance(np.random.default_rng(70 + n), n)
+        spec = GridSpec(np.full(n, -2.0), np.full(n, 2.0), 9)
+        whole = grid_search(inst, spec)
+        monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 7)
+        chunked = grid_search(inst, spec)
+        assert chunked.best_value == whole.best_value
+        assert np.array_equal(chunked.best_x, whole.best_x)
+        assert chunked.evaluations == whole.evaluations == 9**n
+
+    def test_peak_memory_bounded(self, fixtures_dir):
+        # 1217 boxes (the fixture CSVs, square footprint) and 91 x 91 grid
+        # points: about 208 MiB in one chunk, bounded by the chunk size now
+        inst = ProblemInstance(
+            2,
+            load_points_csv(fixtures_dir / "group_a.csv", shape="square", half_side=5.0),
+            load_points_csv(fixtures_dir / "group_b.csv", shape="square", half_side=5.0),
+            Ball([30.0, -160.0], 30.0),
+        )
+        n_sets = len(inst.attractions) + len(inst.repulsions)
+        assert n_sets == 1217
+        # a 40 x 40 grid over an instance of this size still takes one chunk
+        assert oracle._CHUNK_ELEMENTS // (n_sets * 2) >= 1600
+        inst.attraction_batch, inst.repulsion_batch  # built outside the trace
+        spec = GridSpec(np.array([0.0, -190.0]), np.array([60.0, -130.0]), 91)
+        tracemalloc.start()
+        try:
+            result = grid_search(inst, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.evaluations == 8281
+        # a box chunk's projections (2 coordinates) plus two (rows, sets) arrays
+        assert peak <= 2 * 8 * oracle._CHUNK_ELEMENTS  # 64 MiB
 
 
 class TestLocalRefine:
