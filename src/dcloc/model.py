@@ -76,13 +76,18 @@ class SetBatch:
                 where = slice(indices[0], indices[-1] + 1)
             else:
                 where = np.array(indices)
-            # one key parameter at a time: a list of every member's key tuple
-            # would outweigh the stacked arrays
-            params = tuple(
-                _read_only(np.stack([sets[i]._key()[j] for i in indices], axis=-1))
-                for j in range(len(sets[indices[0]]._key()))
-            )
-            self._groups.append((kind, where, params))
+            # one key parameter at a time, streamed into (m_k, ...) rows and
+            # transposed: a list of every member's key tuple, or np.stack's
+            # view of every member's parameter, would outweigh the result
+            params = []
+            for j, value in enumerate(sets[indices[0]]._key()):
+                rows = np.fromiter(
+                    (sets[i]._key()[j] for i in indices),
+                    np.dtype((float, np.shape(value))),
+                    len(indices),
+                )
+                params.append(_read_only(np.ascontiguousarray(rows.T)))
+            self._groups.append((kind, where, tuple(params)))
 
     def _assemble(self, block, shape: tuple) -> np.ndarray:
         """Array of ``shape`` whose last axis (one slot per set) is filled

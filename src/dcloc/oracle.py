@@ -88,7 +88,6 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     ]
     spacing = float(max((hi - lo) / (grid.points_per_axis - 1)
                         for lo, hi in zip(grid.lower, grid.upper)))
-    shape = (grid.points_per_axis,) * n
     n_sets = len(inst.attractions) + len(inst.repulsions)
     rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * n))
 
@@ -97,9 +96,7 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     best_rows: list[np.ndarray] = []
     min_dist = np.inf
     for start in range(0, total, rows):
-        # rows start, start + 1, ... of the flattened "ij" meshgrid of the axes
-        idx = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
-        block = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
+        block = _grid_rows(axes, start, min(start + rows, total))
         proj = inst.constraint.project_many(block)
         min_dist = min(
             min_dist, float(np.min(np.linalg.norm(block - proj, axis=1)))
@@ -119,6 +116,12 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     return OracleResult(
         best_x=best_x, best_value=best_val, evaluations=total, spacing=spacing
     )
+
+
+def _grid_rows(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of the flattened "ij" meshgrid of ``axes``."""
+    idx = np.unravel_index(np.arange(start, stop), [axis.size for axis in axes])
+    return np.column_stack([axis[i] for axis, i in zip(axes, idx)])
 
 
 def local_refine(
