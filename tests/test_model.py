@@ -354,7 +354,8 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
         return [WeightedSet(s, float(rng.uniform(0.1, 3.0))) for s in sets]
 
     inst = ProblemInstance(n, weighted(counts), weighted(repulsion_counts), free_space(n))
-    prob = InnerProblem.for_instance(inst, rng.normal(scale=3.0, size=n), float(rng.uniform(0.1, 3.0)))
+    v, lam = rng.normal(scale=3.0, size=n), float(rng.uniform(0.1, 3.0))
+    prob = InnerProblem.for_instance(inst, v, lam)
 
     def close(got, want):
         return np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
