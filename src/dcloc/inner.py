@@ -185,30 +185,73 @@ def _require_feasible(prob: InnerProblem, x0) -> np.ndarray:
 
 
 def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
-    """Iterate the fixed-point map, projecting onto the constraint each step.
+    """Iterate the fixed-point map with a safeguarded secant step, projecting
+    onto the constraint, and certify the result by its primal-dual gap.
 
-    The objective strictly decreases at every non-fixed step, and strong
-    convexity makes the limit the unique minimizer.  OnTargetSet propagates
-    to the caller, carrying the offending iterate.
+    Each pass maps the current iterate x to t = P_C(T(x)), with T the
+    fixed-point map, and stops, returning t, once the residual g = t - x has
+    norm at most ``step_tol``.  Otherwise, given the previous iterate x' and
+    its residual g', the next iterate is the one-step Anderson (secant)
+    extrapolation P_C(t - gamma * (x - x' + g - g')), where gamma minimizes
+    |g - gamma * (g - g')|.  It is kept only if its residual is smaller than
+    that of x; else the iteration moves to t, the plain map point of x, and
+    forgets x'.  Extrapolated iterates need not decrease the objective; the
+    certificate below is what vouches for the result.
+
+    At the returned point x the unit residuals u_i = (x - P_i x) / d_i of the
+    final objective evaluation form a dual point (see ``dual_solve``), so the
+    gap costs one constraint projection.  ``converged`` is True only when
+    that gap is at most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set.
+    ``max_iters`` bounds the number of map applications; when it runs out,
+    the map point of the last kept iterate is returned.  OnTargetSet
+    propagates to the caller, carrying the offending iterate.
     """
     cfg = cfg or InnerConfig()
+    project = prob.constraint.project
     x = _require_feasible(prob, x0)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        x_next = prob.constraint.project(weiszfeld_map(prob, x))
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if step <= cfg.step_tol:
-            converged = True
-            break
+    t = project(weiszfeld_map(prob, x))
+    g = t - x
+    res = float(np.linalg.norm(g))
+    prev = None  # the kept iterate before x and its residual
+    maps = 1
+    while res > cfg.step_tol and maps < cfg.max_iters:
+        if prev is None:
+            y = t
+        else:
+            dg = g - prev[1]
+            dd = float(dg @ dg)
+            gamma = float(dg @ g) / dd if dd > 0.0 else 0.0
+            y = project(t - gamma * (x - prev[0] + dg))
+        t_y = project(weiszfeld_map(prob, y))
+        maps += 1
+        g_y = t_y - y
+        res_y = float(np.linalg.norm(g_y))
+        if prev is None or res_y < res:
+            prev = (x, g)
+            x, t, g, res = y, t_y, g_y, res_y
+        else:  # the safeguard: step plainly to t on the next pass
+            prev = None
+    value, gap = _fixed_point_certificate(prob, t)
     return InnerResult(
-        x=x,
-        value=phi(prob, x),
-        iterations=iterations,
-        converged=converged,
+        x=t,
+        value=value,
+        iterations=maps,
+        converged=gap <= GAP_TOL * (1.0 + abs(value)),
         method_used="weiszfeld",
+        gap=gap,
     )
+
+
+def _fixed_point_certificate(prob: InnerProblem, x: np.ndarray) -> tuple[float, float]:
+    """``phi(prob, x)`` and the gap of ``x`` against the unit-residual dual point."""
+    value, diff, dists = _phi_terms(prob, x)
+    if diff is None:  # the map's point P_C(v / lam) is the minimizer
+        return value, 0.0
+    # u_i = (x - P_i x) / d_i, and u_i = 0 on a set (d_i = 0); u is never built
+    inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=dists > 0.0)
+    z = prob.v - diff @ inv
+    # u_i.(x - P_i x) = d_i for these u_i, so their Fenchel-Young terms vanish
+    return value, _gap(prob, x, dists, dists, z, prob.constraint.project(z / prob.lam))
 
 
 def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
@@ -252,6 +295,22 @@ def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, prob.constraint.project(z / prob.lam)
 
 
+def _gap(prob: InnerProblem, x, dists, u_res, z, x_u) -> float:
+    """Gap between ``phi(prob, x)`` and the dual value at u, summed from terms
+    that are each nonnegative in exact arithmetic.
+
+    ``dists`` holds d_i(x), ``u_res`` holds u_i.(x - p_i) for points p_i of
+    set i with s_i(u_i) = u_i.p_i, and ``x_u`` is x(u) = P_C(z / lam).  The
+    gap is sum_i w_i (d_i(x) - u_i.x + s_i(u_i)) (Fenchel-Young) plus
+    q(x) - q(x(u)) for q(y) = lam/2 |y|^2 - z.y, factored as
+    lam/2 (x - x(u)).(x + x(u) - 2 z / lam) so that neither value of q is
+    formed: the gap is not the difference of two rounded values of the size
+    of ``phi``.
+    """
+    quad = 0.5 * prob.lam * float((x - x_u) @ (x + x_u - (2.0 / prob.lam) * z))
+    return float(prob.weights @ (dists - u_res)) + quad
+
+
 def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
     """Accelerated proximal gradient (FISTA) on the dual, stopped on the gap.
 
@@ -267,9 +326,12 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
     s_i at the new u_i.  So one iteration costs two constraint projections and
     two batch projections, on or off the attraction sets.
 
-    The best primal value among ``x0`` and the points x(u) and the best dual
-    value give the gap; the solve stops, with ``converged=True``, once it is
-    at most ``GAP_TOL * (1 + |value|)``.  The returned ``x`` is that best
+    Each iterate's primal point is x(u) itself, so its gap against u is the
+    sum of the Fenchel-Young terms w_i (d_i(x(u)) - u_i.x(u) + s_i(u_i)).
+    The returned point is the best among ``x0`` and the x(u), so its gap is
+    at most the least of these iterate gaps, and that is the reported gap;
+    the solve stops, with ``converged=True``, once it is at most
+    ``GAP_TOL * (1 + |value|)``.  The returned ``x`` is that best
     primal point, always feasible.  By lam-strong convexity the minimizer x*
     satisfies |x - x*| <= sqrt(2 * gap / lam).  The momentum restarts
     whenever it points against the latest proximal step (the adaptive restart
@@ -286,7 +348,6 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
     step = (prob.lam / float(w @ w)) * w  # t * w_i, t = 1/L
     u = np.zeros((best_x.size, w.size))
     y, theta = u, 1.0
-    best_dual = -np.inf
     gap = np.inf
     converged = False
     iterations = 0
@@ -298,13 +359,11 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
         outside = norms > 1.0
         u_next[:, outside] /= norms[outside]
         z, x = _dual_primal(prob, u_next)
-        dual = 0.5 * prob.lam * float(x @ x) - float(z @ x)
-        dual -= float(np.einsum("ij,ij->j", u_next, proj) @ w)
-        value = _phi_terms(prob, x)[0]
+        value, _, dists = _phi_terms(prob, x)
         if value < best_val:
             best_val, best_x = value, x
-        best_dual = max(best_dual, dual)
-        gap = best_val - best_dual
+        u_res = np.einsum("ij,ij->j", u_next, x[:, None] - proj)
+        gap = min(gap, _gap(prob, x, dists, u_res, z, x))
         if gap <= GAP_TOL * (1.0 + abs(best_val)):
             converged = True
             break
@@ -319,20 +378,28 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
 def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
     """Dispatch on the configured method.
 
-    ``auto`` runs the fixed-point solver.  When an iterate lands on an
-    attraction set, or the iteration budget runs out before the step test
-    holds, it falls back to the certified dual solve (``method_used``
-    ``"dual"``, with ``gap`` set).  That starts from the point where the
-    fixed-point map became undefined, or from the last fixed-point iterate,
-    and never returns a worse one.
+    ``auto`` runs the fixed-point solver and returns its result when the gap
+    certifies it.  When an iterate lands on an attraction set, the iteration
+    budget runs out before the step test holds, or the step test holds but
+    the gap refuses the point, it falls back to the certified dual solve
+    (``method_used`` ``"dual"``, with ``gap`` set).  Extrapolated iterates
+    need not decrease the objective, so the dual solve starts from whichever
+    of ``x0`` and the last fixed-point iterate has the lower objective, and
+    never returns a worse point than that.
     """
     cfg = cfg or InnerConfig()
     if cfg.method == "auto":
         try:
             result = weiszfeld_solve(prob, x0, cfg)
         except OnTargetSet as stop:
-            return dual_solve(prob, prob.constraint.project(stop.x), cfg)
-        return result if result.converged else dual_solve(prob, result.x, cfg)
+            last = prob.constraint.project(stop.x)
+            last_value = phi(prob, last)
+        else:
+            if result.converged:
+                return result
+            last, last_value = result.x, result.value
+        start = last if last_value <= phi(prob, x0) else x0
+        return dual_solve(prob, start, cfg)
     if cfg.method == "weiszfeld":
         return weiszfeld_solve(prob, x0, cfg)
     if cfg.method == "subgradient":

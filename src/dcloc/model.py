@@ -188,13 +188,29 @@ def evaluate_objective(inst: ProblemInstance, x) -> float:
     return val
 
 
+# points x sets x dimension of one chunk of bulk evaluation.  Evaluating a
+# chunk holds at most (dimension + 2) x points x sets floats: 64 MiB in the
+# plane.  A 1600-point grid over 1217 planar sets is one chunk.
+_CHUNK_ELEMENTS = 1 << 22
+
+
 def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
-    """Objective values for an (N, n) array of points."""
+    """Objective values for an (N, n) array of points.
+
+    The points are evaluated in chunks of at most ``_CHUNK_ELEMENTS`` points
+    x sets x dimension, so memory stays bounded whatever N is.
+    """
     pts = np.asarray(pts, dtype=float)
-    vals = inst.attraction_batch.distances_many(pts) @ inst.attraction_weights
-    if inst.repulsions:
-        vals = vals - inst.repulsion_batch.distances_many(pts) @ inst.repulsion_weights
-    return vals
+    n_sets = len(inst.attractions) + len(inst.repulsions)
+    rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * inst.dimension))
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], rows):
+        block = pts[start:start + rows]
+        vals = inst.attraction_batch.distances_many(block) @ inst.attraction_weights
+        if inst.repulsions:
+            vals -= inst.repulsion_batch.distances_many(block) @ inst.repulsion_weights
+        out[start:start + rows] = vals
+    return out
 
 
 def evaluate_split(inst: ProblemInstance, lam: float, x) -> tuple[float, float]:

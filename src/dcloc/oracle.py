@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, evaluate_objective, evaluate_objective_many
+from .model import _CHUNK_ELEMENTS, ProblemInstance, evaluate_objective, evaluate_objective_many
 
 __all__ = [
     "GridSpec",
@@ -25,10 +25,6 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 10**7
-# rows x sets x dimension of one chunk of grid points.  Bulk distance
-# evaluation of a chunk holds at most (dimension + 2) x rows x sets floats:
-# 64 MiB in the plane.  A 1600-point grid over 1217 planar sets is one chunk.
-_CHUNK_ELEMENTS = 1 << 22
 
 
 class BudgetExceeded(ValueError):
@@ -73,8 +69,8 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     Projection-then-evaluate keeps feasibility exact even when the constraint
     slices the grid region.  Ties are broken by the lexicographically smallest
     minimizer.  Grid points are built and evaluated in chunks of at most
-    ``_CHUNK_ELEMENTS`` rows x sets x dimension, so memory stays bounded
-    whatever the grid size.
+    ``model._CHUNK_ELEMENTS`` rows x sets x dimension, so memory stays
+    bounded whatever the grid size.
     """
     n = inst.dimension
     if n > 4:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from dcloc import (
     existence_classify,
     validate_instance,
 )
+from dcloc import model
 from dcloc.dca import _repulsion_subgradient
 from dcloc.geometry import membership_tol
 from dcloc.inner import InnerProblem, OnTargetSet, phi, weiszfeld_map
+from dcloc.instance_io import load_points_csv
 from dcloc.model import SetBatch
 from conftest import random_instance, random_set
 
@@ -80,6 +83,36 @@ class TestEvaluateObjective:
         many = evaluate_objective_many(inst, pts)
         for row, val in zip(pts, many):
             assert np.isclose(val, evaluate_objective(inst, row))
+
+    def test_many_chunked_matches_single_chunk(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(71), 2)
+        pts = np.random.default_rng(72).normal(size=(50, 2))
+        whole = evaluate_objective_many(inst, pts)
+        n_sets = len(inst.attractions) + len(inst.repulsions)
+        monkeypatch.setattr(model, "_CHUNK_ELEMENTS", 7 * n_sets * 2)  # 7 points
+        # the weighted sums may take another BLAS path per chunk: rounding only
+        assert np.allclose(evaluate_objective_many(inst, pts), whole, rtol=1e-14, atol=1e-14)
+
+    def test_many_peak_memory_bounded(self, fixtures_dir):
+        # 8281 points over the 1217 fixture boxes: about 208 MiB unchunked
+        inst = ProblemInstance(
+            2,
+            load_points_csv(fixtures_dir / "group_a.csv", shape="square", half_side=5.0),
+            load_points_csv(fixtures_dir / "group_b.csv", shape="square", half_side=5.0),
+            Ball([30.0, -160.0], 30.0),
+        )
+        assert len(inst.attractions) + len(inst.repulsions) == 1217
+        inst.attraction_batch, inst.repulsion_batch  # built outside the trace
+        axes = np.linspace(0.0, 60.0, 91), np.linspace(-190.0, -130.0, 91)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            vals = evaluate_objective_many(inst, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (8281,)
+        assert peak <= 2 * 8 * model._CHUNK_ELEMENTS  # 64 MiB
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
