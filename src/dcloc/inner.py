@@ -5,14 +5,17 @@ plus a quadratic term minus a linear term, over the constraint set.  The
 quadratic term makes the objective strongly convex, so the minimizer is
 unique.  The primary solver is a fixed-point iteration that averages the
 projections onto the attraction sets with reciprocal-distance weights and
-projects back onto the constraint.  When an iterate lands exactly on an
-attraction set (where the fixed-point map divides by zero), or the iteration
-budget runs out first, the ``auto`` route hands over to ``dual_solve``:
+projects back onto the constraint.  A one-step Anderson (secant) update
+extrapolates its iterates, kept only where it lowers the fixed-point
+residual, and a primal-dual gap built from the unit residuals at the
+returned point certifies the result (``InnerResult.gap``).  When an iterate
+lands exactly on an attraction set (where the fixed-point map divides by
+zero), the iteration budget runs out first, or the gap refuses the point the
+step test accepted, the ``auto`` route hands over to ``dual_solve``:
 accelerated proximal gradient (FISTA) on the dual problem, built from the
-same projections, which stops on a certified primal-dual gap and reports it
-as ``InnerResult.gap``.  A projected
-subgradient method with diminishing 1/l steps remains selectable; it has no
-stopping test and no certificate.
+same projections, which also stops on a certified primal-dual gap.  A
+projected subgradient method with diminishing 1/l steps remains selectable;
+it has no stopping test and no certificate.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class InnerProblem:
 
 INNER_METHODS = ("auto", "weiszfeld", "subgradient")
 
-# dual route: stop once the primal-dual gap is at most GAP_TOL * (1 + |value|)
+# converged=True needs a primal-dual gap of at most GAP_TOL * (1 + |value|)
 GAP_TOL = 1e-13
 
 
@@ -135,8 +138,8 @@ class InnerResult:
     iterations: int
     converged: bool
     method_used: str
-    # dual route: value minus the best dual lower bound on the minimum; None
-    # for routes without a certificate
+    # an upper bound on value minus the minimum, from a dual point: set by the
+    # fixed-point and dual routes, None for the subgradient route
     gap: float | None = None
 
 

@@ -203,14 +203,18 @@ def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarra
     pts = np.asarray(pts, dtype=float)
     n_sets = len(inst.attractions) + len(inst.repulsions)
     rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * inst.dimension))
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], rows):
-        block = pts[start:start + rows]
-        vals = inst.attraction_batch.distances_many(block) @ inst.attraction_weights
-        if inst.repulsions:
-            vals -= inst.repulsion_batch.distances_many(block) @ inst.repulsion_weights
-        out[start:start + rows] = vals
-    return out
+    if pts.shape[0] <= rows:  # one chunk: no output array held during it
+        return _objective_rows(inst, pts)
+    return np.concatenate(
+        [_objective_rows(inst, pts[start:start + rows]) for start in range(0, pts.shape[0], rows)]
+    )
+
+
+def _objective_rows(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
+    vals = inst.attraction_batch.distances_many(pts) @ inst.attraction_weights
+    if inst.repulsions:
+        vals = vals - inst.repulsion_batch.distances_many(pts) @ inst.repulsion_weights
+    return vals
 
 
 def evaluate_split(inst: ProblemInstance, lam: float, x) -> tuple[float, float]:
