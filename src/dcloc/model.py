@@ -203,7 +203,7 @@ def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarra
     pts = np.asarray(pts, dtype=float)
     n_sets = len(inst.attractions) + len(inst.repulsions)
     rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * inst.dimension))
-    if pts.shape[0] <= rows:  # one chunk: no output array held during it
+    if pts.shape[0] <= rows:  # one chunk: returned without a copy
         return _objective_rows(inst, pts)
     return np.concatenate(
         [_objective_rows(inst, pts[start:start + rows]) for start in range(0, pts.shape[0], rows)]
