@@ -257,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--half-side", type=float, default=5.0)
     solve.add_argument("--constraint-ball", help="cx,...,r ball constraint for CSV input")
     solve.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    solve.add_argument("--max-outer", type=int, default=200)
+    solve.add_argument(
+        "--max-outer", type=int, default=200,
+        help="budget of inner solves, refused extrapolations included",
+    )
     solve.add_argument("--outer-tol", type=float, default=1e-8)
     solve.add_argument(
         "--inner-method", choices=INNER_METHODS, default="auto"
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--starts", type=int, default=1)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--x0", help="comma-separated start point")
-    solve.add_argument("--trajectory", help="write trajectory CSV here")
+    solve.add_argument("--trajectory", help="write trajectory CSV (accepted iterates) here")
     solve.add_argument("--output", help="report path (stdout if omitted)")
     solve.set_defaults(func=_cmd_solve)
 

@@ -8,10 +8,11 @@ projections onto the attraction sets with reciprocal-distance weights and
 projects back onto the constraint.  A one-step Anderson (secant) update
 extrapolates its iterates, kept only where it lowers the fixed-point
 residual, and a primal-dual gap built from the unit residuals at the
-returned point certifies the result (``InnerResult.gap``).  When an iterate
-lands exactly on an attraction set (where the fixed-point map divides by
-zero), the iteration budget runs out first, or the gap refuses the point the
-step test accepted, the ``auto`` route hands over to ``dual_solve``:
+returned point certifies the result (``InnerResult.gap``).  When a map point,
+or an extrapolation that beats it, lands exactly on an attraction set (where
+the fixed-point map divides by zero), the iteration budget runs out first,
+or the gap refuses the point the step test accepted, the ``auto`` route
+hands over to ``dual_solve``:
 accelerated proximal gradient (FISTA) on the dual problem, built from the
 same projections, which also stops on a certified primal-dual gap.  A
 projected subgradient method with diminishing 1/l steps remains selectable;
@@ -206,8 +207,12 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
     gap costs one constraint projection.  ``converged`` is True only when
     that gap is at most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set.
     ``max_iters`` bounds the number of map applications; when it runs out,
-    the map point of the last kept iterate is returned.  OnTargetSet
-    propagates to the caller, carrying the offending iterate.
+    the map point of the last kept iterate is returned.  The map is
+    undefined on an attraction set.  A plain map point there raises
+    OnTargetSet to the caller, carrying that point; so does an extrapolated
+    iterate there whose objective is below that of t.  Any other
+    extrapolated iterate on a set fails the safeguard, like one with a
+    larger residual: the minimizer may lie off every set.
     """
     cfg = cfg or InnerConfig()
     project = prob.constraint.project
@@ -218,15 +223,19 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
     prev = None  # the kept iterate before x and its residual
     maps = 1
     while res > cfg.step_tol and maps < cfg.max_iters:
-        if prev is None:
-            y = t
-        else:
-            dg = g - prev[1]
-            dd = float(dg @ dg)
-            gamma = float(dg @ g) / dd if dd > 0.0 else 0.0
-            y = project(t - gamma * (x - prev[0] + dg))
-        t_y = project(weiszfeld_map(prob, y))
+        y = t if prev is None else project(_secant_point(x, t, g, prev))
         maps += 1
+        try:
+            t_y = project(weiszfeld_map(prob, y))
+        except OnTargetSet:
+            # the map is undefined on a set: a plain map point there hands
+            # over, and so does an extrapolation that beats t in objective
+            # (no residual can judge it); any other extrapolation onto a
+            # set fails the safeguard
+            if prev is None or _phi_terms(prob, y)[0] < _phi_terms(prob, t)[0]:
+                raise
+            prev = None
+            continue
         g_y = t_y - y
         res_y = float(np.linalg.norm(g_y))
         if prev is None or res_y < res:
@@ -243,6 +252,18 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
         method_used="weiszfeld",
         gap=gap,
     )
+
+
+def _secant_point(x: np.ndarray, t: np.ndarray, g: np.ndarray, prev) -> np.ndarray:
+    """The one-step Anderson (secant) extrapolation t - gamma * (x - x' + g - g')
+    of a map point t with residual g = t - x, given the previous iterate and
+    its residual ``prev = (x', g')``; gamma = (g - g').g / |g - g'|^2
+    minimizes |g - gamma * (g - g')|.  When gamma is 0 (as when g = g') the
+    result is ``t`` itself, the plain step."""
+    dg = g - prev[1]
+    dd = float(dg @ dg)
+    gamma = float(dg @ g) / dd if dd > 0.0 else 0.0
+    return t if gamma == 0.0 else t - gamma * (x - prev[0] + dg)
 
 
 def _fixed_point_certificate(prob: InnerProblem, x: np.ndarray) -> tuple[float, float]:
@@ -382,10 +403,10 @@ def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> Inner
     """Dispatch on the configured method.
 
     ``auto`` runs the fixed-point solver and returns its result when the gap
-    certifies it.  When an iterate lands on an attraction set, the iteration
-    budget runs out before the step test holds, or the step test holds but
-    the gap refuses the point, it falls back to the certified dual solve
-    (``method_used`` ``"dual"``, with ``gap`` set).  Extrapolated iterates
+    certifies it.  When it raises OnTargetSet (see ``weiszfeld_solve``), the
+    iteration budget runs out before the step test holds, or the step test
+    holds but the gap refuses the point, it falls back to the certified dual
+    solve (``method_used`` ``"dual"``, with ``gap`` set).  Extrapolated iterates
     need not decrease the objective, so the dual solve starts from whichever
     of ``x0`` and the last fixed-point iterate has the lower objective, and
     never returns a worse point than that.

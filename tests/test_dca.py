@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcloc import (
     AxisBox,
@@ -16,8 +20,8 @@ from dcloc import (
     evaluate_objective,
     multi_start_solve,
 )
-from dcloc import model
-from dcloc.instance_io import load_points_csv
+from dcloc import dca, model
+from dcloc.instance_io import load_instance, load_points_csv
 from conftest import random_instance
 
 INF = np.inf
@@ -117,7 +121,124 @@ class TestDcaSolve:
         assert report.outer_iterations == 1
 
 
+def group_instance(fixtures_dir, shape):
+    """The bundled two-group CSV instance, point or square footprint."""
+    half_side = 5.0 if shape == "square" else 0.0
+    return ProblemInstance(
+        2,
+        load_points_csv(fixtures_dir / "group_a.csv", shape=shape, half_side=half_side),
+        load_points_csv(fixtures_dir / "group_b.csv", shape=shape, half_side=half_side),
+        Ball([30.0, -160.0], 30.0),
+    )
+
+
+# a start from which both footprints refuse some extrapolation by its decrease
+GROUP_START = [10.0, -180.0]
+
+
+def plain_dca(inst, x0, cfg):
+    """The unaccelerated iteration x <- S(x) from the public ``dca_step``:
+    its final point and the number of inner solves it took."""
+    x = np.asarray(x0, dtype=float)
+    for solves in range(1, cfg.max_outer + 1):
+        _, x_next = dca_step(inst, cfg.lam, x, cfg.inner)
+        step = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if step <= cfg.outer_step_tol:
+            break
+    return x, solves
+
+
+class TestSecantStep:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The points ``dca_solve`` hands to the inner solver and to the
+        objective, in call order."""
+        solved, evaluated = [], []
+        solve_inner, evaluate_objective = dca.solve_inner, dca.evaluate_objective
+
+        def counting_solve(prob, x, cfg):
+            solved.append(np.array(x))
+            return solve_inner(prob, x, cfg)
+
+        def counting_evaluate(inst, x):
+            evaluated.append(np.array(x))
+            return evaluate_objective(inst, x)
+
+        monkeypatch.setattr(dca, "solve_inner", counting_solve)
+        monkeypatch.setattr(dca, "evaluate_objective", counting_evaluate)
+        return solved, evaluated
+
+    @pytest.mark.parametrize("shape", ["point", "square"])
+    def test_refused_extrapolation_costs_no_inner_solve(self, fixtures_dir, recorded, shape):
+        solved, evaluated = recorded
+        report = dca_solve(group_instance(fixtures_dir, shape), GROUP_START)
+        # a point evaluated but never solved at is a candidate that the
+        # decrease test refused
+        refused = [p for p in evaluated if not any(np.array_equal(p, q) for q in solved)]
+        assert refused
+        # the one solve beyond the outer iterations is the criticality residual's
+        assert len(solved) == report.outer_iterations + 1
+
+    @pytest.mark.parametrize("max_outer", [1, 2, 3, 4, 5, 6])
+    def test_max_outer_bounds_inner_solves(self, fixtures_dir, recorded, max_outer):
+        solved, _ = recorded
+        cfg = DcaConfig(max_outer=max_outer)
+        report = dca_solve(group_instance(fixtures_dir, "square"), GROUP_START, cfg)
+        assert report.termination == "max_outer"
+        assert report.outer_iterations == max_outer
+        assert len(solved) == max_outer + 1
+
+    @pytest.mark.parametrize("shape", ["point", "square"])
+    def test_matches_plain_iteration_with_fewer_solves(self, fixtures_dir, shape):
+        inst = group_instance(fixtures_dir, shape)
+        cfg = DcaConfig()
+        report = dca_solve(inst, GROUP_START, cfg)
+        x_plain, plain_solves = plain_dca(inst, GROUP_START, cfg)
+        plain_value = evaluate_objective(inst, x_plain)
+        assert report.termination == "step_tol"
+        assert abs(report.final_value - plain_value) <= 1e-12 * abs(plain_value)
+        assert np.max(np.abs(report.final_x - x_plain)) <= 1e-8
+        assert report.outer_iterations < plain_solves
+
+    def test_secant_equal_to_plain_step_costs_one_solve(self, fixtures_dir):
+        # on this fixture's unbounded linear tail every plain step has the
+        # same residual, so the secant step is the plain step itself and must
+        # not be solved at twice
+        inst = load_instance(fixtures_dir / "mixed_line_unbounded.json")
+        cfg = DcaConfig(max_outer=20)
+        report = dca_solve(inst, [2.0], cfg)
+        x_plain, plain_solves = plain_dca(inst, [2.0], cfg)
+        assert report.termination == "max_outer" and plain_solves == 20
+        assert np.array_equal(report.final_x, x_plain)
+
+    def test_trajectory_rows_and_sufficient_decrease_square_footprint(self, fixtures_dir):
+        inst = group_instance(fixtures_dir, "square")
+        cfg = DcaConfig(record_trajectory=True)
+        report = dca_solve(inst, GROUP_START, cfg)
+        traj = report.trajectory
+        assert np.array_equal(traj[0].x, GROUP_START)
+        assert np.array_equal(traj[-1].x, report.final_x)
+        extrapolated = 0
+        for prev, cur in zip(traj, traj[1:]):
+            y_prev, image = dca_step(inst, cfg.lam, prev.x, cfg.inner)
+            assert np.array_equal(cur.y, y_prev)
+            assert cur.step_norm == float(np.linalg.norm(cur.x - prev.x))
+            assert prev.f_value - cur.f_value >= 0.5 * cfg.lam * cur.step_norm**2 - 1e-7
+            extrapolated += not np.array_equal(cur.x, image)
+        assert extrapolated >= 1
+
+
 class TestDcaConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.floats(allow_nan=True, allow_infinity=True))
+    def test_lambda_accepted_iff_finite_and_positive(self, lam):
+        if math.isfinite(lam) and lam > 0:
+            assert DcaConfig(lam=lam).lam == lam
+        else:
+            with pytest.raises(ValueError, match="lambda must be finite and positive"):
+                DcaConfig(lam=lam)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"lam": 0.0}, "lambda must be finite and positive"),
         ({"lam": -1.0}, "lambda must be finite and positive"),

@@ -188,6 +188,29 @@ class TestBoxVertices:
             box_vertices(Ball([0, 0], 1.0))
 
 
+# each shape's coordinate parameters, built from a coordinate list
+SHAPE_COORDINATES = {
+    "point": lambda c: Singleton(c),
+    "ball center": lambda c: Ball(c, 1.0),
+    "box lower": lambda c: AxisBox(c, np.full(len(c), INF)),
+    "box upper": lambda c: AxisBox(np.full(len(c), -INF), c),
+    "halfspace normal": lambda c: Halfspace(c, 0.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parameter=st.sampled_from(sorted(SHAPE_COORDINATES)),
+    coords=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_nan_coordinate_rejected_at_construction(parameter, coords, data):
+    """A NaN anywhere in any shape's coordinates raises at construction."""
+    coords[data.draw(st.integers(0, len(coords) - 1))] = NAN
+    with pytest.raises(GeometryError, match="must be finite|must not be NaN"):
+        SHAPE_COORDINATES[parameter](coords)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_projection_nonexpansive(seed):

@@ -21,6 +21,7 @@ from dcloc import (
     weiszfeld_map,
     weiszfeld_solve,
 )
+from dcloc import inner
 from dcloc.dca import _repulsion_subgradient
 from dcloc.inner import GAP_TOL
 from dcloc.instance_io import load_instance
@@ -224,17 +225,48 @@ class TestSolveInner:
         assert np.allclose(result.x, [-3.14, 0.0], rtol=0.0, atol=1e-12)
 
     def test_auto_never_worse_than_start(self):
-        # an extrapolated iterate overshoots into an attraction halfspace at a
-        # higher objective than the start; with a budget too small for the
+        # the budget runs out at the map point of an extrapolated iterate, at
+        # a higher objective than the start; with a budget too small for the
         # dual route to recover, only starting it from x0 keeps the value
-        prob, x0 = random_inner_problem(3890, [1, 1, 1, 1], False, "halfspace")
+        prob, x0 = random_inner_problem(3064, [0, 1, 1, 1], False, "ball")
         cfg = InnerConfig(max_iters=3)
-        with pytest.raises(OnTargetSet) as stop:
-            weiszfeld_solve(prob, x0, cfg)
-        assert phi(prob, stop.value.x) > phi(prob, x0)
+        fixed_point = weiszfeld_solve(prob, x0, cfg)
+        assert fixed_point.converged is False
+        assert fixed_point.value > phi(prob, x0)
         result = solve_inner(prob, x0, cfg)
         assert result.method_used == "dual" and result.converged is False
         assert result.value <= phi(prob, x0)
+
+    def test_extrapolation_onto_a_set_is_refused_not_handed_over(self):
+        # an extrapolated iterate lands on an attraction set although the
+        # minimizer lies 0.14 away from every set: the safeguard refuses the
+        # extrapolation, and the fixed-point route certifies the minimizer
+        prob, x0 = random_inner_problem(2252029514, [2, 2, 3, 0], False, "box")
+        result = solve_inner(prob, x0)
+        assert result.method_used == "weiszfeld" and certified(result)
+        assert prob.batch.distances(result.x).min() > 0.1
+        reference = dual_solve(prob, x0, InnerConfig(max_iters=5000))
+        assert certified(reference)
+        assert abs(result.value - reference.value) <= 1e-9 * (1.0 + abs(reference.value))
+
+    def test_extrapolation_onto_minimizing_set_hands_over(self, fixtures_dir, monkeypatch):
+        # from (3, 0.5) the plain maps approach the line y = 0 only linearly;
+        # the seventh map is tried at an extrapolation that lies on the line
+        # below the plain map point's objective, which hands over at once
+        # (refused, it would leave the route creeping on for 21 maps)
+        inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
+        x0 = np.array([3.0, 0.5])
+        prob = InnerProblem.for_instance(inst, _repulsion_subgradient(inst, x0) + x0, 1.0)
+        maps = []
+        monkeypatch.setattr(
+            inner, "weiszfeld_map", lambda p, x: maps.append(x) or weiszfeld_map(p, x)
+        )
+        with pytest.raises(OnTargetSet) as stop:
+            weiszfeld_solve(prob, x0)
+        assert len(maps) == 7 and abs(stop.value.x[1]) <= 1e-9
+        result = solve_inner(prob, x0)
+        assert result.method_used == "dual" and certified(result)
+        assert np.allclose(result.x, [3.0, 0.0], rtol=0.0, atol=1e-12)
 
     def test_explicit_method_selection(self):
         prob = single_target()

@@ -275,6 +275,19 @@ class TestLipschitz:
             assert lhs <= L * np.linalg.norm(x - y) + 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weight=st.floats(allow_nan=True, allow_infinity=True))
+def test_weight_accepted_iff_finite(seed, weight):
+    """``WeightedSet`` raises at construction exactly for a non-finite weight."""
+    rng = np.random.default_rng(seed)
+    s = random_set(rng, int(rng.integers(1, 4)))
+    if math.isfinite(weight):
+        assert WeightedSet(s, weight).weight == weight
+    else:
+        with pytest.raises(ValueError, match="weight must be finite"):
+            WeightedSet(s, weight)
+
+
 class TestValidateInstance:
     def test_separated_targets_clean(self):
         inst = ProblemInstance(
