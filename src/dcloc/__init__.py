@@ -32,7 +32,6 @@ from .inner import (
     InnerProblem,
     InnerResult,
     NotInConstraint,
-    OnTargetSet,
     dual_solve,
     phi,
     solve_inner,

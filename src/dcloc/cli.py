@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, dca, instance_io, oracle
 from .geometry import Ball, GeometryError
-from .inner import INNER_METHODS, InnerConfig, NotInConstraint
+from .inner import InnerConfig, NotInConstraint
 from .model import ProblemInstance, existence_classify, require_valid, validate_instance
 
 EXIT_OK = 0
@@ -106,11 +106,7 @@ def _cmd_solve(args) -> int:
             lam=args.lam,
             max_outer=args.max_outer,
             outer_step_tol=args.outer_tol,
-            inner=InnerConfig(
-                method=args.inner_method,
-                max_iters=args.inner_iters,
-                step_tol=args.inner_tol,
-            ),
+            inner=InnerConfig(max_iters=args.inner_iters, step_tol=args.inner_tol),
             record_trajectory=args.trajectory is not None,
         )
     except ValueError as exc:
@@ -262,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget of inner solves, refused extrapolations included",
     )
     solve.add_argument("--outer-tol", type=float, default=1e-8)
-    solve.add_argument(
-        "--inner-method", choices=INNER_METHODS, default="auto"
-    )
     solve.add_argument("--inner-iters", type=int, default=1000)
     solve.add_argument("--inner-tol", type=float, default=1e-10)
     solve.add_argument("--starts", type=int, default=1)

@@ -8,15 +8,14 @@ projections onto the attraction sets with reciprocal-distance weights and
 projects back onto the constraint.  A one-step Anderson (secant) update
 extrapolates its iterates, kept only where it lowers the fixed-point
 residual, and a primal-dual gap built from the unit residuals at the
-returned point certifies the result (``InnerResult.gap``).  When a map point,
-or an extrapolation that beats it, lands exactly on an attraction set (where
-the fixed-point map divides by zero), the iteration budget runs out first,
-or the gap refuses the point the step test accepted, the ``auto`` route
-hands over to ``dual_solve``:
-accelerated proximal gradient (FISTA) on the dual problem, built from the
-same projections, which also stops on a certified primal-dual gap.  A
-projected subgradient method with diminishing 1/l steps remains selectable;
-it has no stopping test and no certificate.
+returned point certifies every exit of the iteration (``InnerResult.gap``),
+an exit on an attraction set (where the fixed-point map divides by zero)
+included.  ``solve_inner`` returns a certified result and otherwise hands
+over to ``dual_solve``: accelerated proximal gradient (FISTA) on the dual
+problem, built from the same projections, which also stops on a certified
+primal-dual gap.  ``subgradient_solve``, a projected subgradient method with
+diminishing 1/l steps, remains as a standalone function; it has no stopping
+test and no certificate, and no route calls it.
 """
 
 from __future__ import annotations
@@ -26,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexSet, coordinate_norms, membership_tol
+from .geometry import ConvexSet, _finite, coordinate_norms, membership_tol
 from .model import ProblemInstance, SetBatch, WeightedSet
 
 __all__ = [
     "InnerProblem",
     "InnerConfig",
     "InnerResult",
-    "OnTargetSet",
     "NotInConstraint",
     "phi",
     "weiszfeld_map",
@@ -48,15 +46,6 @@ class NotInConstraint(ValueError):
     """Starting point outside the constraint set."""
 
 
-class OnTargetSet(RuntimeError):
-    """An iterate landed on an attraction set; the fixed-point map is undefined."""
-
-    def __init__(self, index: int, x: np.ndarray):
-        super().__init__(f"iterate lies on attraction set {index}")
-        self.index = index
-        self.x = x
-
-
 @dataclass(eq=False)
 class InnerProblem:
     v: np.ndarray
@@ -65,10 +54,10 @@ class InnerProblem:
     constraint: ConvexSet
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
+        self.v = _finite(np.asarray(self.v, dtype=float), "linear term")
         self.lam = float(self.lam)
-        if not self.lam > 0:
-            raise ValueError("quadratic coefficient must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"quadratic coefficient must be finite and positive, got {self.lam}")
         self._batch = None
         self._weights = None
 
@@ -97,8 +86,6 @@ class InnerProblem:
         return self._weights
 
 
-INNER_METHODS = ("auto", "weiszfeld", "subgradient")
-
 # converged=True needs a primal-dual gap of at most GAP_TOL * (1 + |value|)
 GAP_TOL = 1e-13
 
@@ -112,24 +99,13 @@ def _require_tolerance(name: str, value: float) -> None:
 class InnerConfig:
     """Inner solver options, checked at construction (ValueError)."""
 
-    method: str = "auto"  # one of INNER_METHODS
     max_iters: int = 1000
     step_tol: float = 1e-10  # fixed-point step norm
-    subgradient_step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.method not in INNER_METHODS:
-            raise ValueError(
-                f"unknown inner method {self.method!r}, expected one of {INNER_METHODS}"
-            )
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         _require_tolerance("step_tol", self.step_tol)
-        if not (math.isfinite(self.subgradient_step_scale) and self.subgradient_step_scale > 0):
-            raise ValueError(
-                f"subgradient_step_scale must be finite and positive, "
-                f"got {self.subgradient_step_scale}"
-            )
 
 
 @dataclass
@@ -161,20 +137,20 @@ def _phi_terms(prob: InnerProblem, x: np.ndarray):
     return val + float(prob.weights @ dists), diff, dists
 
 
-def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray:
+def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray | None:
     """One application of the reciprocal-distance averaging map.
 
-    Raises OnTargetSet when ``x`` is (numerically) on some attraction set,
-    since the map weights are the reciprocals of the distances.
+    The map weights are the reciprocals of the distances, so it is undefined
+    on the attraction sets: it returns None when ``x`` is (numerically) on
+    one.
     """
     x = np.asarray(x, dtype=float)
     if not prob.attractions:
         return prob.v / prob.lam
     proj = prob.batch.projections(x)
     dists = coordinate_norms(x[:, None], proj)
-    threshold = membership_tol(x)
-    if dists.min() <= threshold:
-        raise OnTargetSet(int(np.flatnonzero(dists <= threshold)[0]), x)
+    if dists.min() <= membership_tol(x):
+        return None
     inv = prob.weights / dists
     numer = proj @ inv + prob.v
     denom = float(inv.sum()) + prob.lam
@@ -202,40 +178,45 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
     forgets x'.  Extrapolated iterates need not decrease the objective; the
     certificate below is what vouches for the result.
 
-    At the returned point x the unit residuals u_i = (x - P_i x) / d_i of the
-    final objective evaluation form a dual point (see ``dual_solve``), so the
-    gap costs one constraint projection.  ``converged`` is True only when
-    that gap is at most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set.
     ``max_iters`` bounds the number of map applications; when it runs out,
-    the map point of the last kept iterate is returned.  The map is
-    undefined on an attraction set.  A plain map point there raises
-    OnTargetSet to the caller, carrying that point; so does an extrapolated
-    iterate there whose objective is below that of t.  Any other
-    extrapolated iterate on a set fails the safeguard, like one with a
-    larger residual: the minimizer may lie off every set.
+    the map point of the last kept iterate is returned.  The map is undefined
+    on an attraction set, so the iteration also stops there: at a start on a
+    set, at a plain map point on one, and at an extrapolated iterate on one
+    whose objective is below that of t, each of which it returns.  Any other
+    extrapolated iterate on a set fails the safeguard, like one with a larger
+    residual: the minimizer may lie off every set.
+
+    Every exit is judged alike.  At the returned point x the unit residuals
+    u_i = (x - P_i x) / d_i of the final objective evaluation, with u_i = 0
+    on a set (d_i at most ``membership_tol(x)``, where the residual is
+    rounding noise), form a dual point (see ``dual_solve``), so the gap costs
+    one constraint projection.  ``converged`` is True only when that gap is at
+    most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set.
     """
     cfg = cfg or InnerConfig()
     project = prob.constraint.project
     x = _require_feasible(prob, x0)
-    t = project(weiszfeld_map(prob, x))
+    maps = 1
+    t = weiszfeld_map(prob, x)
+    if t is None:
+        return _fixed_point_result(prob, project(x), maps)
+    t = project(t)
     g = t - x
     res = float(np.linalg.norm(g))
     prev = None  # the kept iterate before x and its residual
-    maps = 1
     while res > cfg.step_tol and maps < cfg.max_iters:
         y = t if prev is None else project(_secant_point(x, t, g, prev))
         maps += 1
-        try:
-            t_y = project(weiszfeld_map(prob, y))
-        except OnTargetSet:
-            # the map is undefined on a set: a plain map point there hands
-            # over, and so does an extrapolation that beats t in objective
-            # (no residual can judge it); any other extrapolation onto a
-            # set fails the safeguard
+        t_y = weiszfeld_map(prob, y)
+        if t_y is None:
+            # no residual can judge a point on a set: a plain map point
+            # there is returned, and so is an extrapolation that beats t in
+            # objective; any other extrapolation onto a set fails the safeguard
             if prev is None or _phi_terms(prob, y)[0] < _phi_terms(prob, t)[0]:
-                raise
+                return _fixed_point_result(prob, y, maps)
             prev = None
             continue
+        t_y = project(t_y)
         g_y = t_y - y
         res_y = float(np.linalg.norm(g_y))
         if prev is None or res_y < res:
@@ -243,15 +224,7 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
             x, t, g, res = y, t_y, g_y, res_y
         else:  # the safeguard: step plainly to t on the next pass
             prev = None
-    value, gap = _fixed_point_certificate(prob, t)
-    return InnerResult(
-        x=t,
-        value=value,
-        iterations=maps,
-        converged=gap <= GAP_TOL * (1.0 + abs(value)),
-        method_used="weiszfeld",
-        gap=gap,
-    )
+    return _fixed_point_result(prob, t, maps)
 
 
 def _secant_point(x: np.ndarray, t: np.ndarray, g: np.ndarray, prev) -> np.ndarray:
@@ -266,20 +239,35 @@ def _secant_point(x: np.ndarray, t: np.ndarray, g: np.ndarray, prev) -> np.ndarr
     return t if gamma == 0.0 else t - gamma * (x - prev[0] + dg)
 
 
-def _fixed_point_certificate(prob: InnerProblem, x: np.ndarray) -> tuple[float, float]:
-    """``phi(prob, x)`` and the gap of ``x`` against the unit-residual dual point."""
+def _fixed_point_result(prob: InnerProblem, x: np.ndarray, maps: int) -> InnerResult:
+    """The fixed-point route's result at ``x``, judged by its gap against the
+    unit-residual dual point."""
     value, diff, dists = _phi_terms(prob, x)
     if diff is None:  # the map's point P_C(v / lam) is the minimizer
-        return value, 0.0
-    # u_i = (x - P_i x) / d_i, and u_i = 0 on a set (d_i = 0); u is never built
-    inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=dists > 0.0)
-    z = prob.v - diff @ inv
-    # u_i.(x - P_i x) = d_i for these u_i, so their Fenchel-Young terms vanish
-    return value, _gap(prob, x, dists, dists, z, prob.constraint.project(z / prob.lam))
+        gap = 0.0
+    else:
+        # u_i = (x - P_i x) / d_i, and u_i = 0 on a set: there the residual
+        # is rounding noise, and a unit u_i built from it could certify a
+        # point that is not the minimizer; u is never built
+        off = dists > membership_tol(x)
+        inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=off)
+        z = prob.v - diff @ inv
+        # u_i.(x - P_i x) = d_i off the sets, so only the sets' own d_i are
+        # left of the Fenchel-Young terms
+        np.putmask(dists, off, 0.0)
+        gap = _gap(prob, x, dists, z, prob.constraint.project(z / prob.lam))
+    return InnerResult(
+        x=x,
+        value=value,
+        iterations=maps,
+        converged=gap <= GAP_TOL * (1.0 + abs(value)),
+        method_used="weiszfeld",
+        gap=gap,
+    )
 
 
 def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
-    """Projected subgradient descent with step scale/l at iteration l.
+    """Projected subgradient descent with step 1/l at iteration l.
 
     Applicable even on the attraction sets (the zero subgradient of the
     distance term is selected there).  Plain subgradient steps are not
@@ -298,7 +286,7 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
         if diff is not None:
             safe = dists > threshold_scale * (1.0 + np.linalg.norm(x))
             u = u + diff @ np.divide(prob.weights, dists, out=np.zeros_like(dists), where=safe)
-        x = prob.constraint.project(x - (cfg.subgradient_step_scale / ell) * u)
+        x = prob.constraint.project(x - u / ell)
         val, diff, dists = _phi_terms(prob, x)
         if val < best_val:
             best_val = val
@@ -319,20 +307,19 @@ def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, prob.constraint.project(z / prob.lam)
 
 
-def _gap(prob: InnerProblem, x, dists, u_res, z, x_u) -> float:
+def _gap(prob: InnerProblem, x, slack, z, x_u) -> float:
     """Gap between ``phi(prob, x)`` and the dual value at u, summed from terms
     that are each nonnegative in exact arithmetic.
 
-    ``dists`` holds d_i(x), ``u_res`` holds u_i.(x - p_i) for points p_i of
-    set i with s_i(u_i) = u_i.p_i, and ``x_u`` is x(u) = P_C(z / lam).  The
-    gap is sum_i w_i (d_i(x) - u_i.x + s_i(u_i)) (Fenchel-Young) plus
-    q(x) - q(x(u)) for q(y) = lam/2 |y|^2 - z.y, factored as
+    ``slack`` holds the Fenchel-Young terms d_i(x) - u_i.x + s_i(u_i), one
+    per set, and ``x_u`` is x(u) = P_C(z / lam).  The gap is
+    sum_i w_i slack_i plus q(x) - q(x(u)) for q(y) = lam/2 |y|^2 - z.y, factored as
     lam/2 (x - x(u)).(x + x(u) - 2 z / lam) so that neither value of q is
     formed: the gap is not the difference of two rounded values of the size
     of ``phi``.
     """
     quad = 0.5 * prob.lam * float((x - x_u) @ (x + x_u - (2.0 / prob.lam) * z))
-    return float(prob.weights @ (dists - u_res)) + quad
+    return float(prob.weights @ slack) + quad
 
 
 def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
@@ -387,7 +374,7 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
         if value < best_val:
             best_val, best_x = value, x
         u_res = np.einsum("ij,ij->j", u_next, x[:, None] - proj)
-        gap = min(gap, _gap(prob, x, dists, u_res, z, x))
+        gap = min(gap, _gap(prob, x, dists - u_res, z, x))
         if gap <= GAP_TOL * (1.0 + abs(best_val)):
             converged = True
             break
@@ -400,32 +387,18 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
 
 
 def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
-    """Dispatch on the configured method.
+    """The fixed-point solve, or the dual solve where its gap refuses it.
 
-    ``auto`` runs the fixed-point solver and returns its result when the gap
-    certifies it.  When it raises OnTargetSet (see ``weiszfeld_solve``), the
-    iteration budget runs out before the step test holds, or the step test
-    holds but the gap refuses the point, it falls back to the certified dual
-    solve (``method_used`` ``"dual"``, with ``gap`` set).  Extrapolated iterates
-    need not decrease the objective, so the dual solve starts from whichever
-    of ``x0`` and the last fixed-point iterate has the lower objective, and
-    never returns a worse point than that.
+    The fixed-point result (see ``weiszfeld_solve``) is returned when its gap
+    certifies it.  Otherwise, whether the iteration stopped on an attraction
+    set, ran out of budget or met its step test at a point the gap refuses,
+    the certified dual solve takes over (``method_used`` ``"dual"``, with
+    ``gap`` set).  Extrapolated iterates need not decrease the objective, so
+    the dual solve starts from whichever of ``x0`` and the fixed-point point
+    has the lower objective, and never returns a worse point than that.
     """
-    cfg = cfg or InnerConfig()
-    if cfg.method == "auto":
-        try:
-            result = weiszfeld_solve(prob, x0, cfg)
-        except OnTargetSet as stop:
-            last = prob.constraint.project(stop.x)
-            last_value = phi(prob, last)
-        else:
-            if result.converged:
-                return result
-            last, last_value = result.x, result.value
-        start = last if last_value <= phi(prob, x0) else x0
-        return dual_solve(prob, start, cfg)
-    if cfg.method == "weiszfeld":
-        return weiszfeld_solve(prob, x0, cfg)
-    if cfg.method == "subgradient":
-        return subgradient_solve(prob, x0, cfg)
-    raise ValueError(f"unknown inner method {cfg.method!r}")
+    result = weiszfeld_solve(prob, x0, cfg)
+    if result.converged:
+        return result
+    start = result.x if result.value <= phi(prob, x0) else x0
+    return dual_solve(prob, start, cfg)

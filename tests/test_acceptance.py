@@ -16,7 +16,6 @@ from dcloc import (
     GridSpec,
     InnerConfig,
     InnerProblem,
-    OnTargetSet,
     ProblemInstance,
     Singleton,
     SpecialInstance,
@@ -33,7 +32,6 @@ from dcloc import (
     phi,
     solution_rays,
     solve_reduced_max,
-    subgradient_solve,
     weiszfeld_map,
     weiszfeld_solve,
 )
@@ -143,10 +141,10 @@ def test_monotonicity_at_scale(capsys):
         x = inst.constraint.project(rng.normal(size=n))
         val = phi(prob, x)
         for _ in range(15):
-            try:
-                x_next = prob.constraint.project(weiszfeld_map(prob, x))
-            except OnTargetSet:
+            t = weiszfeld_map(prob, x)
+            if t is None:
                 break
+            x_next = prob.constraint.project(t)
             val_next = phi(prob, x_next)
             if np.linalg.norm(x_next - x) > 1e-12:
                 if val_next - val > 1e-10 * (1 + abs(val)):
@@ -204,39 +202,13 @@ def test_solver_matches_grid_oracle(capsys):
     )
 
 
-def test_inner_route_agreement(capsys):
-    """The fixed-point and subgradient inner solvers agree on 50 random
-    subproblems, and the fixed-point route converges fast on at least 90%."""
-    rng = np.random.default_rng(101)
-    fast = 0
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        inst = random_instance(rng, n, separated=True)
-        prob = InnerProblem(
-            v=rng.normal(size=n),
-            lam=float(rng.uniform(0.5, 2.0)),
-            attractions=inst.attractions,
-            constraint=inst.constraint,
-        )
-        x0 = inst.constraint.project(rng.normal(size=n))
-        w = weiszfeld_solve(prob, x0, InnerConfig(max_iters=200, step_tol=1e-10))
-        s = subgradient_solve(prob, x0, InnerConfig(max_iters=10_000))
-        assert abs(w.value - s.value) <= 1e-3 * (1 + abs(w.value))
-        if w.converged:
-            fast += 1
-    assert fast >= 45
-    report(
-        capsys,
-        f"[PASS] inner route agreement: 50/50 within value tolerance, "
-        f"{fast}/50 fixed-point runs converged within 200 iterations",
-    )
-
-
 def test_dual_route_agreement(capsys):
     """The certified dual route agrees with the fixed-point route to 1e-9
-    relative on the 50 subproblems of the route-agreement check."""
+    relative on 50 random subproblems, and the fixed-point route converges
+    within 200 maps on at least 90% of them."""
     rng = np.random.default_rng(101)
     worst = 0.0
+    fast = 0
     for _ in range(50):
         n = int(rng.integers(1, 4))
         inst = random_instance(rng, n, separated=True)
@@ -253,10 +225,14 @@ def test_dual_route_agreement(capsys):
         rel = abs(w.value - d.value) / (1 + abs(w.value))
         assert rel <= 1e-9
         worst = max(worst, rel)
+        if w.converged:
+            fast += 1
+    assert fast >= 45
     report(
         capsys,
         f"[PASS] dual route agreement: 50/50 certified, values within "
-        f"{worst:.1e} relative of the fixed-point route",
+        f"{worst:.1e} relative of the fixed-point route, {fast}/50 "
+        f"fixed-point runs converged within 200 iterations",
     )
 
 

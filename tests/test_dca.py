@@ -107,7 +107,7 @@ class TestDcaSolve:
         for x0 in ([3.0, 0.5], [-6.0, -0.9], [0.0, 0.2], [8.0, -0.01]):
             report = dca_solve(line_instance(), x0, cfg)
             traj = report.trajectory
-            assert report.inner_methods_used == ["dual"]
+            assert "dual" in report.inner_methods_used
             assert len(traj) > 2
             for prev, cur in zip(traj, traj[1:]):
                 decrease = prev.f_value - cur.f_value

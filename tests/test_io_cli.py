@@ -306,6 +306,17 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert "bad solver option" in err and message in err
 
+    def test_inner_method_option_is_gone(self, fixtures_dir, capsys):
+        # one inner route remains, so argparse refuses the option (exit 2)
+        with pytest.raises(SystemExit) as stop:
+            main([
+                "solve",
+                "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+                "--inner-method", "auto",
+            ])
+        assert stop.value.code == EXIT_VALIDATION
+        assert "--inner-method" in capsys.readouterr().err
+
     def test_infeasible_start_is_solver_error(self, fixtures_dir, capsys):
         code = main([
             "solve",
