@@ -32,6 +32,7 @@ from dcloc import (
     phi,
     solution_rays,
     solve_reduced_max,
+    subgradient_solve,
     weiszfeld_map,
     weiszfeld_solve,
 )
@@ -199,6 +200,34 @@ def test_solver_matches_grid_oracle(capsys):
         capsys,
         "[PASS] grid cross-check: 20/20 planar instances within oracle tolerance, "
         "residuals <= 1e-6",
+    )
+
+
+def test_inner_route_agreement(capsys):
+    """The fixed-point and subgradient inner solvers agree on 50 random
+    subproblems, and the fixed-point route converges fast on at least 90%."""
+    rng = np.random.default_rng(101)
+    fast = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        inst = random_instance(rng, n, separated=True)
+        prob = InnerProblem(
+            v=rng.normal(size=n),
+            lam=float(rng.uniform(0.5, 2.0)),
+            attractions=inst.attractions,
+            constraint=inst.constraint,
+        )
+        x0 = inst.constraint.project(rng.normal(size=n))
+        w = weiszfeld_solve(prob, x0, InnerConfig(max_iters=200, step_tol=1e-10))
+        s = subgradient_solve(prob, x0, InnerConfig(max_iters=10_000))
+        assert abs(w.value - s.value) <= 1e-3 * (1 + abs(w.value))
+        if w.converged:
+            fast += 1
+    assert fast >= 45
+    report(
+        capsys,
+        f"[PASS] inner route agreement: 50/50 within value tolerance, "
+        f"{fast}/50 fixed-point runs converged within 200 iterations",
     )
 
 
