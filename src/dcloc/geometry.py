@@ -57,7 +57,10 @@ def _finite(value, what: str):
 
 def membership_tol(x: np.ndarray) -> float:
     """Scale-aware default tolerance for membership tests."""
-    return 1e-9 * (1.0 + float(np.linalg.norm(x)))
+    # np.linalg.norm(x) without its call overhead: norm takes sqrt(x @ x) of
+    # x.ravel(order="K"), and a strided x would sum in another order
+    x = x.ravel(order="K")
+    return 1e-9 * (1.0 + math.sqrt(float(x @ x)))
 
 
 def coordinate_norms(d: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
@@ -293,9 +296,11 @@ class AxisBox(ConvexSet):
         self.upper = _vec(self.upper)
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatch("box bounds of different lengths")
-        if np.any(self.lower > self.upper):
+        # scalar checks on lists, as in _finite
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        if any(lo > hi for lo, hi in zip(lower, upper)):
             raise GeometryError("box requires lower <= upper componentwise")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+        if any(map(math.isnan, lower)) or any(map(math.isnan, upper)):
             raise GeometryError("box bounds must not be NaN")
 
     @property

@@ -148,15 +148,75 @@ def load_points_csv(
     weight: float = 1.0,
 ) -> list[WeightedSet]:
     """One weighted set per CSV row: singletons, or axis boxes of the given
-    half side centered at the rows."""
+    half side centered at the rows.
+
+    Row 1 is a header when it is non-numeric; blank rows are skipped, ``#``
+    starts no comment and cells may be quoted.  Well-formed finite input is
+    read as one array; any other input goes through a row-by-row parse, which
+    names the first bad row, or builds sets of each row's own dimension from
+    ragged rows.
+    """
     if shape not in ("point", "square"):
         raise ParseError(f"unknown csv shape {shape!r}")
     if shape == "square" and not 0 < half_side < math.inf:
         raise ParseError("square shape needs a positive finite half side")
-    sets: list[WeightedSet] = []
+    coords = _read_coordinates(path)
+    if coords is None:
+        rows = _parse_rows(path)
+        if shape == "point":
+            shapes = map(Singleton, rows)
+        else:
+            shapes = (AxisBox(c - half_side, c + half_side) for c in rows)
+    elif shape == "point":
+        shapes = map(Singleton, coords)
+    else:
+        shapes = map(AxisBox, coords - half_side, coords + half_side)
+    return [WeightedSet(s, weight) for s in shapes]
+
+
+def _is_blank(row: list[str]) -> bool:
+    return all(not c.strip() for c in row)
+
+
+def _read_coordinates(path) -> np.ndarray | None:
+    """The data rows of a CSV point group as one (rows, dimension) array, or
+    None for input that ``_parse_rows`` must judge: a file without data rows,
+    a non-numeric cell after row 1, a ragged row or a non-finite value."""
+    with open(path, newline="") as fh:
+        # the header rule and the blank rows before the first data row are
+        # settled row by row; loadtxt then reads from that row on, so it never
+        # meets an input without data, on which it would warn
+        start = 0
+        for rownum, row in enumerate(csv.reader(iter(fh.readline, "")), start=1):
+            if not _is_blank(row) and (rownum > 1 or _is_numeric(row)):
+                break
+            start = fh.tell()
+        else:
+            return None
+        fh.seek(start)
+        try:
+            coords = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, quotechar='"')
+        except ValueError:
+            return None
+    return coords if np.isfinite(coords).all() else None
+
+
+def _is_numeric(row: list[str]) -> bool:
+    try:
+        for c in row:
+            float(c)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_rows(path) -> list[np.ndarray]:
+    """Coordinates of each data row, converted one row at a time; raises
+    ParseError naming the first bad row."""
+    rows: list[np.ndarray] = []
     with open(path, newline="") as fh:
         for rownum, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
+            if _is_blank(row):
                 continue
             try:
                 values = [float(c) for c in row]
@@ -166,12 +226,7 @@ def load_points_csv(
                 raise ParseError(f"{path}: non-numeric data at row {rownum}")
             if not all(map(math.isfinite, values)):
                 raise ParseError(f"{path}: non-finite coordinate at row {rownum}")
-            coords = np.array(values)
-            if shape == "point":
-                s: ConvexSet = Singleton(coords)
-            else:
-                s = AxisBox(coords - half_side, coords + half_side)
-            sets.append(WeightedSet(s, weight))
-    if not sets:
+            rows.append(np.array(values))
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return sets
+    return rows

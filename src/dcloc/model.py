@@ -383,12 +383,18 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
 
     Structural problems stop the check.  Otherwise it reports the attraction
     sets that meet the constraint set, where the fixed-point inner solver may
-    be inapplicable, found by 25 rounds of alternating projections run on all
-    sets at once (they reach a common point when the sets meet).
+    be inapplicable.
     """
-    diags = structural_problems(inst)
-    if diags:
-        return diags
+    return structural_problems(inst) or _constraint_meetings(inst)
+
+
+def _constraint_meetings(inst: ProblemInstance) -> list[str]:
+    """``validate_instance``'s findings on a structurally valid instance: the
+    attraction sets that meet the constraint set, found by at most 25 rounds
+    of alternating projections run on all sets at once (they reach a common
+    point when the sets meet).  A round that returns its input bit for bit
+    is a fixed point, which every later round would repeat, so the rounds
+    stop there."""
     batch = inst.attraction_batch
     project_constraint = inst.constraint.project_many
     # streamed into one array: a list of per-set copies would set the memory
@@ -397,7 +403,10 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     q = np.fromiter(selections, np.dtype((float, inst.dimension)), len(inst.attractions))
     q = project_constraint(q).T
     for _ in range(25):
-        q = project_constraint(batch.paired_projections(q).T).T
+        q_next = project_constraint(batch.paired_projections(q).T).T
+        if np.array_equal(q_next.view(np.uint64), q.view(np.uint64)):
+            break
+        q = q_next
     gaps = coordinate_norms(q, batch.paired_projections(q))
     meets = gaps <= 1e-9 * (1.0 + coordinate_norms(q))  # membership_tol, set by set
     return [

@@ -1,10 +1,15 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dcloc import AxisBox, Ball, Halfspace, ProblemInstance, Singleton, WeightedSet
+from dcloc import instance_io
 from dcloc.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from dcloc.instance_io import (
     ParseError,
@@ -162,6 +167,116 @@ class TestLoadPointsCsv:
         b = load_points_csv(fixtures_dir / "group_b.csv")
         assert len(a) == 1097 and len(b) == 120
         assert all(s.set.dim == 2 for s in a)
+
+    @pytest.mark.parametrize("name", ["group_a.csv", "group_b.csv"])
+    def test_fixtures_read_as_one_array(self, fixtures_dir, name):
+        # the bundled groups take the array path, not the row-by-row parse
+        coords = instance_io._read_coordinates(fixtures_dir / name)
+        want = row_loop_sets(fixtures_dir / name, "point", 0.0)
+        assert coords.shape == (len(want), 2)
+        assert coords.tobytes() == np.array([w.set.point for w in want]).tobytes()
+
+
+def row_loop_sets(path, shape, half_side):
+    """Reference CSV loader: every row converted on its own."""
+    sets = []
+    with open(path, newline="") as fh:
+        for rownum, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                if rownum == 1:
+                    continue  # header row
+                raise ParseError(f"{path}: non-numeric data at row {rownum}")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: non-finite coordinate at row {rownum}")
+            coords = np.array(values)
+            if shape == "point":
+                s = Singleton(coords)
+            else:
+                s = AxisBox(coords - half_side, coords + half_side)
+            sets.append(WeightedSet(s, 1.0))
+    if not sets:
+        raise ParseError(f"{path}: no data rows")
+    return sets
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e3", "-.5", "+2.", "-0", "1E-3", "007"]),
+)
+ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-Infinity", "x", "lat", "#", "#1", "1#2", "", " ", "1_0", '"', "1 2", "0x1"]
+)
+
+
+@st.composite
+def csv_cells(draw):
+    text = draw(NUMBER_CELLS if draw(st.integers(0, 29)) else ODD_CELLS)
+    pad = st.sampled_from(["", "", "", " ", "\t"])
+    text = draw(pad) + text + draw(pad)
+    if draw(st.integers(0, 3)) == 0:
+        text = f'"{text}"'
+    if draw(st.integers(0, 29)) == 0:
+        text = " " + text  # a quote after a space is a literal character
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV point-group texts: mostly well formed, with headers, blank and
+    whitespace-only rows, CRLF line ends, quoted and padded numbers, and now
+    and then a non-finite, non-numeric or '#' cell, a row with '#' where a
+    comment would start, a ragged row, a trailing comma or an empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(
+            ["lat,lon", "x", '"lat","lon"', "a,b,c", "#lat,lon", "1,lon", "lat,"]
+        )))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " , ", ",", '""'])))
+            continue
+        width = dim if kind > 1 else draw(st.integers(1, 4))
+        line = ",".join(draw(csv_cells()) for _ in range(width))
+        if kind == 2:
+            line = draw(st.sampled_from(["#", "# ", ""])) + line + draw(st.sampled_from(["#", " # x"]))
+        lines.append(line + ("," if draw(st.integers(0, 29)) == 0 else ""))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def outcome(load):
+    """The sets a loader returns, bit for bit, or its ParseError message."""
+    try:
+        sets = load()
+    except ParseError as exc:
+        return "error", str(exc)
+    return "sets", [
+        (type(w.set), w.weight, [np.asarray(p).tobytes() for p in w.set._key()]) for w in sets
+    ]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts(), st.sampled_from(["point", "square"]))
+def test_csv_loader_matches_row_loop(tmp_path, text, shape):
+    """load_points_csv returns the row loop's sets, bit for bit, or raises
+    its ParseError message, on any CSV text, and warns about none of them."""
+    path = tmp_path / "group.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    half_side = 0.5 if shape == "square" else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(lambda: load_points_csv(path, shape=shape, half_side=half_side))
+    assert got == outcome(lambda: row_loop_sets(path, shape, half_side))
 
 
 class TestCliSolve:

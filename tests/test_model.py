@@ -21,7 +21,7 @@ from dcloc import (
 )
 from dcloc import model
 from dcloc.dca import _repulsion_subgradient
-from dcloc.geometry import membership_tol
+from dcloc.geometry import coordinate_norms, membership_tol
 from dcloc.inner import InnerProblem, phi, weiszfeld_map
 from dcloc.instance_io import load_points_csv
 from dcloc.model import SetBatch
@@ -331,6 +331,75 @@ class TestValidateInstance:
 
 
 FAMILIES = ("point", "ball", "box", "halfspace")
+
+
+def meetings_after_25_rounds(inst):
+    """Reference for validate_instance on a valid instance: a fixed 25 rounds
+    of alternating projections, then the membership test set by set."""
+    batch = SetBatch([w.set for w in inst.attractions])
+    project = inst.constraint.project_many
+    q = project(np.array([w.set.selection_point() for w in inst.attractions])).T
+    for _ in range(25):
+        q = project(batch.paired_projections(q).T).T
+    gaps = coordinate_norms(q, batch.paired_projections(q))
+    return [
+        f"attraction {i} intersects the constraint set; the fixed-point "
+        "inner solver may be inapplicable (certified dual fallback is used)"
+        for i in np.flatnonzero(gaps <= 1e-9 * (1.0 + coordinate_norms(q)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any),
+    st.sampled_from(["ball", "box", "halfspace"]),
+    st.booleans(),
+)
+def test_validate_early_stop_matches_25_rounds(seed, counts, constraint_kind, interleave):
+    """Stopping the alternating projections at the first round that returns
+    its input unchanged gives the diagnostics of all 25 rounds, for every
+    attraction family under ball, box and halfspace constraints."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    sets = [random_set(rng, n, kind=k) for k, c in zip(FAMILIES, counts) for _ in range(c)]
+    if interleave:
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+    inst = ProblemInstance(
+        n, [WeightedSet(S, 1.0) for S in sets], [], random_set(rng, n, kind=constraint_kind)
+    )
+    assert validate_instance(inst) == meetings_after_25_rounds(inst)
+
+
+def fixture_groups(fixtures_dir, shape):
+    half_side = 5.0 if shape == "square" else 0.0
+    a, b = (
+        load_points_csv(fixtures_dir / name, shape=shape, half_side=half_side)
+        for name in ("group_a.csv", "group_b.csv")
+    )
+    return ProblemInstance(2, a, b, Ball([30.0, -160.0], 30.0))
+
+
+@pytest.mark.parametrize("shape", ["point", "square"])
+def test_validate_fixture_groups_match_25_rounds(fixtures_dir, shape):
+    inst = fixture_groups(fixtures_dir, shape)
+    assert validate_instance(inst) == meetings_after_25_rounds(inst)
+
+
+def test_validate_point_group_stops_after_one_round(fixtures_dir, monkeypatch):
+    """Projections onto singletons do not depend on the point, so the first
+    round is already a fixed point: one round plus the final distances."""
+    inst = fixture_groups(fixtures_dir, "point")
+    calls = []
+    paired = SetBatch.paired_projections
+
+    def counted(self, pts):
+        calls.append(pts.shape)
+        return paired(self, pts)
+
+    monkeypatch.setattr(SetBatch, "paired_projections", counted)
+    validate_instance(inst)
+    assert len(calls) == 2
 
 
 @settings(max_examples=200, deadline=None)
