@@ -5,21 +5,22 @@ constraint, the minimization has a clean structure: for alpha > beta its
 solutions coincide with the maximizers of the repulsion distance over the
 attraction set; for alpha = beta every such maximizer spawns a whole solution
 ray leaving the repulsion set.  This module classifies candidate points
-(stationary/critical), solves the reduced maximization in closed form where
-possible, builds the solution rays and checks uniqueness.
+(stationary/critical), solves the reduced maximization in closed form for
+every bounded attraction set, builds the solution rays and checks uniqueness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     AxisBox,
-    Ball,
     ConvexSet,
     GeometryError,
+    Halfspace,
     Singleton,
     box_vertices,
     membership_tol,
@@ -145,60 +146,54 @@ def classify_point(inst: SpecialInstance, x, tol: float = 1e-9) -> PointClass:
 
 
 def solve_reduced_max(inst: SpecialInstance, tol: float = 1e-9) -> list[np.ndarray]:
-    """Maximize the repulsion distance over the attraction set.
+    """Maximize the repulsion distance over the attraction set, in closed form.
 
-    Closed-form for the shapes that occur in practice: a convex function
-    attains its maximum over a box at a vertex; over a ball against a point
-    repeller at the antipode of the repeller.  Remaining bounded pairs fall
-    back to a projected grid search with a refinement pass (resolution is a
-    fixed fraction of the bounding box diagonal).
+    Over a box: the vertices within ``tol * (1 + best)`` of the best.  Over a
+    ball B(c, r): c + r*u for each unit u attaining d(x, Theta) = max over
+    |u| <= 1 of u.x - sigma_Theta(u), that is away from Theta when c lies
+    outside it, else towards its nearest boundary.  ``GeometryError`` means
+    infinitely many maximizers: a box edge, the whole ball, a sphere or an arc.
     """
-    omega = inst.omega
+    omega, theta = inst.omega, inst.theta
     if isinstance(omega, Singleton):
         return [omega.point.copy()]
     if omega.bounding_radius() is None:
         raise UnboundedDomain("attraction set must be bounded")
     if isinstance(omega, AxisBox):
         vertices = box_vertices(omega)
-        values = np.array([inst.theta.distance(v) for v in vertices])
+        values = np.array([theta.distance(v) for v in vertices])
         best = values.max()
-        return [v for v, val in zip(vertices, values) if val >= best - tol * (1 + best)]
-    if isinstance(omega, Ball) and isinstance(inst.theta, Singleton):
-        direction = omega.center - inst.theta.point
-        nd = np.linalg.norm(direction)
-        if nd <= tol:
-            raise GeometryError(
-                "repeller at the ball center: every boundary point maximizes"
-            )
-        return [omega.center + omega.radius * direction / nd]
-    return _grid_reduced_max(inst)
-
-
-def _grid_reduced_max(inst: SpecialInstance, resolution: float = 1e-3) -> list[np.ndarray]:
-    # coarse grid over the bounding box, projected onto the set, then a
-    # shrinking pattern-search refinement of the best point
-    r = inst.omega.bounding_radius()
-    n = inst.dim
-    m = 21 if n <= 3 else 7
-    axes = [np.linspace(-r, r, m)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    pts = inst.omega.project_many(grid)
-    vals = np.array([inst.theta.distance(p) for p in pts])
-    best = pts[int(np.argmax(vals))]
-    step = 2 * r / (m - 1)
-    while step > resolution * 2 * r * np.sqrt(n):
-        improved = False
-        for k in range(n):
-            for sign in (1.0, -1.0):
-                cand = best.copy()
-                cand[k] += sign * step
-                cand = inst.omega.project(cand)
-                if inst.theta.distance(cand) > inst.theta.distance(best):
-                    best = cand
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return [best]
+        cut = best - tol * (1 + best)
+        tops = [v for v, val in zip(vertices, values) if val >= cut]
+        # the maximizers of a convex function over a box are a union of faces,
+        # so they are finite unless some edge midpoint next to a top vertex ties
+        middle = 0.5 * (omega.lower + omega.upper)
+        for v in tops:
+            for k in np.flatnonzero(omega.lower < omega.upper):
+                if theta.distance(np.where(np.arange(inst.dim) == k, middle, v)) >= cut:
+                    raise GeometryError("a whole edge of the box maximizes")
+        return tops
+    c, r = omega.center, omega.radius
+    away = c - theta.project(c)  # math.hypot: no underflow for tiny vectors
+    if math.hypot(*away) <= tol:
+        depth = theta.interior_depth(c)
+        if r <= depth + tol:
+            raise GeometryError("every point maximizes: the ball lies in the repulsion set")
+        if isinstance(theta, AxisBox):
+            slack = np.concatenate([c - theta.lower, theta.upper - c])
+            faces = np.flatnonzero(slack <= depth + tol * (1 + r - depth))
+            axes = faces % inst.dim
+            if depth <= tol and np.any(axes != axes[0]):
+                raise GeometryError("an arc maximizes: centre on a repeller edge or corner")
+            signs = np.where(faces < inst.dim, -r, r)  # lower faces, then upper
+            return [c + s * np.eye(inst.dim)[k] for s, k in zip(signs, axes)]
+        if isinstance(theta, Halfspace):
+            away = theta.normal
+        else:  # a ball's centre or the point
+            away = c - theta.selection_point()
+            if math.hypot(*away) <= tol:
+                raise GeometryError("every boundary point maximizes: repeller at the centre")
+    return [c + (r / math.hypot(*away)) * away]
 
 
 def solution_rays(inst: SpecialInstance, s2: list[np.ndarray]) -> list[SolutionRay]:
@@ -226,7 +221,8 @@ def solve_special(inst: SpecialInstance) -> tuple[list, str]:
     For alpha > beta the solutions are exactly the reduced-max points (and do
     not depend on the weights); for alpha = beta each reduced-max point
     extends to a ray, unless the attraction set lies inside the repulsion set,
-    in which case the reduced-max points are themselves solutions.
+    in which case the reduced-max points are themselves solutions.  Raises
+    ``GeometryError`` when the reduced maximizers are infinitely many.
     """
     s2 = solve_reduced_max(inst)
     if inst.alpha > inst.beta:
@@ -241,14 +237,16 @@ def uniqueness_check(inst: SpecialInstance, tol: float = 1e-9) -> bool | None:
 
     True only in two situations: strictly dominant attraction weight with a
     unique reduced-max point, or equal weights with a singleton attractor
-    strictly inside the repulsion set.  None when the reduced maximization is
-    not decidable in the shape algebra.
+    strictly inside the repulsion set.  None for an unbounded attraction set
+    at dominant attraction weight.
     """
     if inst.alpha > inst.beta:
         try:
             return len(solve_reduced_max(inst, tol)) == 1
-        except (UnboundedDomain, GeometryError):
+        except UnboundedDomain:
             return None
+        except GeometryError:  # infinitely many maximizers
+            return False
     if not isinstance(inst.omega, Singleton):
         return False
     p = inst.omega.point

@@ -327,7 +327,8 @@ class AxisBox(ConvexSet):
         return float(np.sum(terms))
 
     def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        # scalar checks on lists, as in _finite
+        return all(map(math.isfinite, self.lower.tolist() + self.upper.tolist()))
 
     def bounding_radius(self) -> float | None:
         if not self.is_bounded():

@@ -1,10 +1,16 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dcloc import (
     AxisBox,
     Ball,
     GeometryError,
+    Halfspace,
     Singleton,
     SpecialInstance,
     UnboundedDomain,
@@ -101,11 +107,10 @@ class TestSolveReducedMax:
             solve_reduced_max(inst)
 
     def test_grid_fallback_ball_vs_box(self):
-        # ball against a box repeller has no closed form here; the farthest
-        # boundary point from the box [2,3]x[-1,1] is (-1, 0)
+        # the farthest boundary point from the box [2,3]x[-1,1] is (-1, 0)
         inst = SpecialInstance(Ball([0, 0], 1.0), AxisBox([2, -1], [3, 1]))
         pts = solve_reduced_max(inst)
-        assert len(pts) == 1 and np.allclose(pts[0], [-1.0, 0.0], atol=5e-3)
+        assert len(pts) == 1 and np.allclose(pts[0], [-1.0, 0.0], rtol=0, atol=1e-12)
 
     def test_maximizer_beats_samples(self):
         rng = np.random.default_rng(47)
@@ -116,7 +121,121 @@ class TestSolveReducedMax:
             best = max(theta.distance(p) for p in solve_reduced_max(inst))
             for _ in range(100):
                 q = omega.project(rng.normal(scale=4, size=2))
-                assert theta.distance(q) <= best + 1e-2
+                assert theta.distance(q) <= best + 1e-12 * (1 + best)
+
+    def test_nearest_faces_of_a_box_repeller(self):
+        # the ball B(0, 2) centred on [-1,1]^2 reaches farthest out through
+        # each of the four tied nearest faces
+        inst = SpecialInstance(Ball([0, 0], 2.0), AxisBox([-1, -1], [1, 1]), alpha=2.0)
+        pts = solve_reduced_max(inst)
+        assert sorted(map(tuple, pts)) == [(-2.0, 0.0), (0.0, -2.0), (0.0, 2.0), (2.0, 0.0)]
+
+    def test_centre_inside_ball_repeller(self):
+        # centre inside the repeller, off its centre: leave through the
+        # nearest boundary point, straight away from the repeller's centre
+        inst = SpecialInstance(Ball([0, 0], 1.0), Ball([0, 0.5], 0.7), alpha=2.0)
+        assert [tuple(p) for p in solve_reduced_max(inst)] == [(0.0, -1.0)]
+        assert uniqueness_check(inst) is True
+
+    @pytest.mark.parametrize(
+        "omega,theta",
+        [
+            (Ball([0, 0], 1.0), AxisBox([-3, -3], [3, 3])),  # the whole ball
+            (Ball([0.5, 0], 1.0), Halfspace([1, 0], 2.0)),
+            (Ball([0, 0], 1.0), Ball([0, 0.5], 3.0)),
+            (Ball([0, 0], 2.0), Ball([0, 0], 1.0)),  # the circle |x| = 2
+            (Ball([1, 1], 1.0), AxisBox([0, 0], [1, 1])),  # an arc at a corner
+            (Ball([1, 0.5, 1], 1.0), AxisBox([0, 0, 0], [1, 1, 1])),  # at an edge
+        ],
+    )
+    def test_infinitely_many_maximizers_raise(self, omega, theta):
+        with pytest.raises(GeometryError):
+            solve_reduced_max(SpecialInstance(omega, theta, alpha=2.0))
+
+    def test_box_edge_maximizes(self):
+        # d = 5 - x1 is constant on the segment, so the whole edge maximizes
+        inst = SpecialInstance(
+            AxisBox([0, -2], [0, 2]), AxisBox([5, -10], [6, 10]), alpha=2.0
+        )
+        with pytest.raises(GeometryError):
+            solve_special(inst)
+
+
+@functools.cache
+def sphere_directions(n: int) -> np.ndarray:
+    """Unit vectors in R^n: 4000 random ones, the unit circles of every
+    coordinate plane and the coordinate axes."""
+    angles = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+    dirs = [np.random.default_rng(0).normal(size=(4000, n)), np.eye(n), -np.eye(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        circle = np.zeros((angles.size, n))
+        circle[:, i], circle[:, j] = np.cos(angles), np.sin(angles)
+        dirs.append(circle)
+    u = np.concatenate(dirs)
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def boundary_samples(omega: Ball, tops) -> np.ndarray:
+    """Points of the sphere of ``omega``: ``sphere_directions`` and small
+    perturbations of the directions of ``tops``."""
+    rng = np.random.default_rng(0)
+    dirs = [sphere_directions(omega.dim)]
+    for p in tops:
+        for scale in (1e-2, 1e-4, 1e-6):
+            u = (p - omega.center) / omega.radius + rng.normal(scale=scale, size=(50, omega.dim))
+            dirs.append(u / np.linalg.norm(u, axis=1, keepdims=True))
+    return omega.center + omega.radius * np.concatenate(dirs)
+
+
+@st.composite
+def ball_against(draw, kind: str):
+    n = draw(st.integers(2, 5))
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+    def vec():
+        return np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+
+    omega = Ball(vec(), draw(st.floats(0.1, 3.0)))
+    if kind == "point":
+        theta = Singleton(vec())
+    elif kind == "ball":
+        theta = Ball(vec(), draw(st.floats(0.1, 3.0)))
+    elif kind == "box":
+        a, b = vec(), vec()
+        theta = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    else:
+        normal = vec()
+        assume(np.linalg.norm(normal) > 0.1)
+        theta = Halfspace(normal, draw(coord))
+    return SpecialInstance(omega, theta, alpha=2.0)
+
+
+@pytest.mark.parametrize("kind", ["point", "ball", "box", "halfspace"])
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([0.0, 1e-9]))
+def test_ball_maximizers_beat_boundary_samples(kind, data, tol):
+    """The closed-form maximizers over a ball attain a common value that no
+    sampled boundary point exceeds; where it reports infinitely many, at
+    least two distinct samples attain the sampled maximum."""
+    inst = data.draw(ball_against(kind))
+    omega, theta = inst.omega, inst.theta
+    try:
+        tops = solve_reduced_max(inst, tol)
+    except GeometryError:
+        tops = None
+    pts = boundary_samples(omega, tops or [])
+    values = np.linalg.norm(pts - theta.project_many(pts), axis=1)
+    slack = 1e-12 + tol
+    if tops is None:
+        top = values.max()
+        near = pts[values >= top - slack * (1 + top)]
+        assert np.ptp(near, axis=0).max() > 1e-6 * omega.radius
+        return
+    assert all(omega.distance(p) <= 1e-12 * (1 + omega.radius) for p in tops)
+    tops_values = [theta.distance(p) for p in tops]
+    best = max(tops_values)
+    assert min(tops_values) >= best - slack * (1 + best)
+    assert values.max() <= best + 1e-12 * (1 + best)
 
 
 class TestSolutionRays:
@@ -204,6 +323,21 @@ class TestUniqueness:
     def test_undecidable_reduced_max(self):
         inst = SpecialInstance(AxisBox([-INF], [0.0]), Singleton([1.0]), alpha=2.0)
         assert uniqueness_check(inst) is None
+
+    @pytest.mark.parametrize(
+        "omega,theta",
+        [
+            (Ball([0, 0], 2.0), Ball([0, 0], 1.0)),  # the circle |x| = 2
+            (Ball([0, 0], 1.0), AxisBox([-3, -3], [3, 3])),  # the whole ball
+            (Ball([0, 0], 2.0), AxisBox([-1, -1], [1, 1])),  # four points
+            (Ball([0.5, 0], 1.0), Halfspace([1, 0], 2.0)),
+            (Ball([0, 0], 1.0), Ball([0, 0.5], 3.0)),
+            (Ball([0, 0], 1.0), Singleton([0.0, 0.0])),  # the unit circle
+            (AxisBox([0, -2], [0, 2]), AxisBox([5, -10], [6, 10])),  # the edge
+        ],
+    )
+    def test_several_maximizers_not_unique(self, omega, theta):
+        assert uniqueness_check(SpecialInstance(omega, theta, alpha=2.0)) is False
 
 
 class TestWeightValidation:
