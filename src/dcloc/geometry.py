@@ -63,22 +63,29 @@ def membership_tol(x: np.ndarray) -> float:
     return 1e-9 * (1.0 + math.sqrt(float(x @ x)))
 
 
-def coordinate_norms(d: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+def coordinate_norms(
+    d: np.ndarray, minus: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Euclidean norms over the leading (coordinate) axis of ``d``, or of
     ``d - minus`` (the two broadcast against each other after that axis).
 
     Accumulated one coordinate at a time, so neither the difference nor a
     squared copy is built in full: the temporaries have the result's shape.
+    ``out``, optional, is an array of the broadcast shape of ``d - minus``,
+    coordinate axis included, in which the squared differences are formed
+    and summed, so that nothing is allocated; it may be ``minus`` itself,
+    which is then overwritten.  The norms are then returned as ``out[0]``.
     """
-    out = None
-    for k, c in enumerate(d):
+    total = None
+    for k in range(len(d)):
+        slot = None if out is None else out[k]
         if minus is None:
-            c = c * c
+            c = np.multiply(d[k], d[k], out=slot)
         else:
-            c = c - minus[k]
+            c = np.subtract(d[k], minus[k], out=slot)
             c *= c
-        out = c if out is None else np.add(out, c, out=out)
-    return np.sqrt(out, out=out)
+        total = c if total is None else np.add(total, c, out=total)
+    return np.sqrt(total, out=total)
 
 
 @dataclass(eq=False)
@@ -105,15 +112,17 @@ class ConvexSet:
         raise NotImplementedError
 
     @staticmethod
-    def _project_array(x: np.ndarray, *params) -> np.ndarray:
+    def _project_array(x: np.ndarray, *params, out: np.ndarray | None = None) -> np.ndarray:
         """Projections of the points ``x``, coordinate axis first (shape
         ``(n, ...)``), onto the sets whose stacked ``_key()`` parameters
         broadcast against ``x``: point-like parameters of shape ``(n, ...)``
         and scalar ones over the trailing axes, such as ``(n, m)`` and
         ``(m,)`` for m sets.  The set axis is then the last, so elementwise
         work runs in contiguous loops over the sets.  This is the array kernel
-        behind ``project_many`` and ``model.SetBatch``.  The result is a fresh
-        array, or for singletons the point parameter itself."""
+        behind ``project_many`` and ``model.SetBatch``.  The result is
+        written to ``out`` when it is given (an array of the broadcast shape)
+        and to a fresh array otherwise; for singletons it is always the point
+        parameter itself."""
         raise NotImplementedError
 
     def project_many(self, pts: np.ndarray) -> np.ndarray:
@@ -187,7 +196,7 @@ class Singleton(ConvexSet):
         return self.point.copy()
 
     @staticmethod
-    def _project_array(x, point):
+    def _project_array(x, point, out=None):
         return point
 
     # each shape keeps project_many in its own namespace, so that per-class
@@ -239,9 +248,11 @@ class Ball(ConvexSet):
         return self.center + (self.radius / nd) * d
 
     @staticmethod
-    def _project_array(x, center, radius):
-        d = x - center
-        d *= radius / np.maximum(coordinate_norms(d), radius)
+    def _project_array(x, center, radius, out=None):
+        d = np.subtract(x, center, out=out)
+        scale = coordinate_norms(d)
+        np.maximum(scale, radius, out=scale)
+        d *= np.divide(radius, scale, out=scale)
         d += center
         return d
 
@@ -312,8 +323,8 @@ class AxisBox(ConvexSet):
         return np.clip(x, self.lower, self.upper)
 
     @staticmethod
-    def _project_array(x, lower, upper):
-        out = np.maximum(x, lower)
+    def _project_array(x, lower, upper, out=None):
+        out = np.maximum(x, lower, out=out)
         return np.minimum(out, upper, out=out)
 
     project_many = ConvexSet.project_many
@@ -333,8 +344,8 @@ class AxisBox(ConvexSet):
     def bounding_radius(self) -> float | None:
         if not self.is_bounded():
             return None
-        vertices = box_vertices(self)
-        return float(max(np.linalg.norm(v) for v in vertices))
+        # the farthest vertex takes the larger-magnitude bound in every coordinate
+        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
     def selection_point(self) -> np.ndarray:
         if self.is_bounded():
@@ -390,9 +401,14 @@ class Halfspace(ConvexSet):
         return x - (excess / np.dot(self.normal, self.normal)) * self.normal
 
     @staticmethod
-    def _project_array(x, normal, offset):
-        excess = np.maximum(np.sum(x * normal, axis=0) - offset, 0.0)
-        return x - (excess / np.sum(normal * normal, axis=0)) * normal
+    def _project_array(x, normal, offset, out=None):
+        out = np.multiply(x, normal, out=out)
+        excess = np.sum(out, axis=0)
+        excess -= offset
+        np.maximum(excess, 0.0, out=excess)
+        excess /= np.sum(normal * normal, axis=0)
+        np.multiply(excess, normal, out=out)
+        return np.subtract(x, out, out=out)
 
     project_many = ConvexSet.project_many
 

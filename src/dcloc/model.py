@@ -89,14 +89,19 @@ class SetBatch:
                 params.append(_read_only(np.ascontiguousarray(rows.T)))
             self._groups.append((kind, where, tuple(params)))
 
-    def _assemble(self, block, shape: tuple) -> np.ndarray:
-        """Array of ``shape`` whose last axis (one slot per set) is filled
-        family by family from ``block(kind, where, params)``."""
-        if len(self._groups) == 1:
-            return block(*self._groups[0])
-        out = np.empty(shape)
+    def _assemble(self, block, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+        """Array of ``shape``, or ``out`` when given, whose last axis (one
+        slot per set) is filled family by family from ``block(kind, where,
+        params)``.  A family's values that the block computed in their own
+        slot of ``out`` are left where they are."""
+        if out is None:
+            if len(self._groups) == 1:
+                return block(*self._groups[0])
+            out = np.empty(shape)
         for kind, where, params in self._groups:
-            out[..., where] = block(kind, where, params)
+            values = block(kind, where, params)
+            if not np.may_share_memory(values, out):
+                out[..., where] = values
         return out
 
     def projections(self, x: np.ndarray) -> np.ndarray:
@@ -118,16 +123,26 @@ class SetBatch:
         """(m,) distances from the point ``x`` to each set."""
         return coordinate_norms(x[:, None], self.projections(x))
 
-    def distances_many(self, pts: np.ndarray) -> np.ndarray:
-        """(N, m) distances from each row of the (N, n) array ``pts`` to each set."""
+    def distances_many(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(N, m) distances from each row of the (N, n) array ``pts`` to each set.
+
+        ``out``, optional, is an (n, N, m) array to work in: each family's
+        projections, differences and squares are formed in its slice of
+        ``out`` and the distances are returned as ``out[0]``, so nothing of
+        that size is allocated.  A family interleaved with others in the set
+        order has no slice; its values are computed apart and copied in.
+        """
         cols = pts.T[:, :, None]
 
         def block(kind, where, params):
             # point-like (n, m_k) parameters broadcast as (n, 1, m_k)
             params = (p[:, None] if p.ndim == 2 else p for p in params)
-            return coordinate_norms(cols, kind._project_array(cols, *params))
+            work = out[..., where] if out is not None and type(where) is slice else None
+            return coordinate_norms(cols, kind._project_array(cols, *params, out=work), out=work)
 
-        return self._assemble(block, (pts.shape[0], self.n_sets))
+        return self._assemble(
+            block, (pts.shape[0], self.n_sets), None if out is None else out[0]
+        )
 
 
 @dataclass(eq=False)
@@ -188,33 +203,77 @@ def evaluate_objective(inst: ProblemInstance, x) -> float:
     return val
 
 
-# points x sets x dimension of one chunk of bulk evaluation.  Evaluating a
-# chunk holds at most (dimension + 2) x points x sets floats: 64 MiB in the
-# plane.  A 1600-point grid over 1217 planar sets is one chunk.
-_CHUNK_ELEMENTS = 1 << 22
+# Bulk evaluation works in blocks of rows, and a block's work array holds
+# points x sets x dimension floats (for the wider of the two set batches).
+# 2^17 floats are 1 MiB, half the 2 MiB per-core L2 cache of the Xeon it was
+# tuned on, so every elementwise pass over a block runs in cache.  A sweep of
+# 2^16 to 2^20 on the benchmark's oracle_grid workload (CHANGES.md) put the
+# optimum here.  A block keeps at least _ROW_GROUP rows.
+_CHUNK_ELEMENTS = 1 << 17
+
+# Block lengths are whole multiples of this many rows.  OpenBLAS's
+# matrix-vector product sums rows four at a time with one kernel and the
+# rest with another, and numpy sends a one-row product to a third (a dot
+# product), so blocks of whole groups, with a lone last row kept in the block
+# before it, give every row the summation it has in one product over all
+# rows: the values do not depend on the block size, bit for bit (a BLAS
+# that splits one product over threads at other rows could still differ).
+# Eight also covers kernels that take eight rows at a time.
+_ROW_GROUP = 8
+
+
+def _block_rows(rows: int) -> int:
+    """``rows`` rounded down to whole row groups, and at least one group."""
+    return max(_ROW_GROUP, rows - rows % _ROW_GROUP)
+
+
+def _row_blocks(total: int, rows: int):
+    """(start, stop) of consecutive blocks of ``rows`` of ``total`` rows; a
+    lone last row joins the block before it, which then has ``rows + 1``."""
+    start = 0
+    while start < total:
+        stop = start + rows
+        if stop >= total - 1:
+            stop = total
+        yield start, stop
+        start = stop
 
 
 def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
     """Objective values for an (N, n) array of points.
 
-    The points are evaluated in chunks of at most ``_CHUNK_ELEMENTS`` points
-    x sets x dimension, so memory stays bounded whatever N is.
+    The points are evaluated in blocks of rows.  A block has as many rows as
+    fit ``_CHUNK_ELEMENTS`` points x sets x dimension, counting the wider of
+    the attraction and repulsion batches, rounded down to whole groups of
+    ``_ROW_GROUP`` rows.  One work array of that size is allocated per call,
+    and every block's distances are computed in it, so each pass runs in
+    cache and memory stays bounded whatever N is.  The values do not depend
+    on the block size.
     """
     pts = np.asarray(pts, dtype=float)
-    n_sets = len(inst.attractions) + len(inst.repulsions)
-    rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * inst.dimension))
-    if pts.shape[0] <= rows:  # one chunk: returned without a copy
-        return _objective_rows(inst, pts)
-    return np.concatenate(
-        [_objective_rows(inst, pts[start:start + rows]) for start in range(0, pts.shape[0], rows)]
-    )
-
-
-def _objective_rows(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
-    vals = inst.attraction_batch.distances_many(pts) @ inst.attraction_weights
-    if inst.repulsions:
-        vals = vals - inst.repulsion_batch.distances_many(pts) @ inst.repulsion_weights
+    n = inst.dimension
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points of shape {pts.shape} vs dimension {n}")
+    width = max(len(inst.attractions), len(inst.repulsions), 1)
+    rows = _block_rows(_CHUNK_ELEMENTS // (width * n))
+    work = np.empty(n * width * min(rows + 1, pts.shape[0]))
+    vals = np.empty(pts.shape[0])
+    for start, stop in _row_blocks(pts.shape[0], rows):
+        _objective_rows(inst, pts[start:stop], work, vals[start:stop])
     return vals
+
+
+def _objective_rows(inst: ProblemInstance, pts: np.ndarray, work: np.ndarray, out: np.ndarray):
+    """Objective values of the rows of ``pts`` into ``out``, with the
+    distances of each batch in turn computed in the flat array ``work``."""
+
+    def distances(batch):
+        shape = (inst.dimension, pts.shape[0], batch.n_sets)
+        return batch.distances_many(pts, out=work[:math.prod(shape)].reshape(shape))
+
+    np.matmul(distances(inst.attraction_batch), inst.attraction_weights, out=out)
+    if inst.repulsions:
+        out -= distances(inst.repulsion_batch) @ inst.repulsion_weights
 
 
 def evaluate_split(inst: ProblemInstance, lam: float, x) -> tuple[float, float]:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _CHUNK_ELEMENTS, ProblemInstance, evaluate_objective, evaluate_objective_many
+from .geometry import coordinate_norms
+from .model import (
+    _CHUNK_ELEMENTS,
+    ProblemInstance,
+    _block_rows,
+    _row_blocks,
+    evaluate_objective,
+    evaluate_objective_many,
+)
 
 __all__ = [
     "GridSpec",
@@ -68,9 +76,12 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
 
     Projection-then-evaluate keeps feasibility exact even when the constraint
     slices the grid region.  Ties are broken by the lexicographically smallest
-    minimizer.  Grid points are built and evaluated in chunks of at most
-    ``model._CHUNK_ELEMENTS`` rows x sets x dimension, so memory stays
-    bounded whatever the grid size.
+    minimizer.  Grid points are built and projected in chunks whose
+    coordinates fill an eighth of ``model._CHUNK_ELEMENTS``, in whole row
+    groups, so that the few arrays of a chunk's size stay below one block's
+    work array.  Each chunk is one ``evaluate_objective_many`` call, which
+    allocates its block work array once and evaluates the chunk in blocks,
+    so memory stays bounded whatever the grid size.
     """
     n = inst.dimension
     if n > 4:
@@ -84,19 +95,16 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     ]
     spacing = float(max((hi - lo) / (grid.points_per_axis - 1)
                         for lo, hi in zip(grid.lower, grid.upper)))
-    n_sets = len(inst.attractions) + len(inst.repulsions)
-    rows = max(1, _CHUNK_ELEMENTS // (max(1, n_sets) * n))
+    rows = _block_rows(_CHUNK_ELEMENTS // (8 * n))
 
     diag = float(np.linalg.norm(grid.upper - grid.lower))
     best_val = np.inf
     best_rows: list[np.ndarray] = []
     min_dist = np.inf
-    for start in range(0, total, rows):
-        block = _grid_rows(axes, start, min(start + rows, total))
+    for start, stop in _row_blocks(total, rows):
+        block = _grid_rows(axes, start, stop)
         proj = inst.constraint.project_many(block)
-        min_dist = min(
-            min_dist, float(np.min(np.linalg.norm(block - proj, axis=1)))
-        )
+        min_dist = min(min_dist, float(np.min(coordinate_norms(block.T, proj.T))))
         vals = evaluate_objective_many(inst, proj)
         lo = float(np.min(vals))
         if lo < best_val:

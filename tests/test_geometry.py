@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,25 @@ class TestBoundingRadius:
 
     def test_infinite_box_unbounded(self):
         assert AxisBox([-INF, 0], [INF, 0]).bounding_radius() is None
+
+    def test_box_in_high_dimension_is_immediate(self):
+        # 2^64 vertices: only a closed form returns at all
+        start = time.perf_counter()
+        assert AxisBox(-np.ones(64), np.ones(64)).bounding_radius() == 8.0
+        assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_box_bounding_radius_is_farthest_vertex(seed, n):
+    """The closed-form box radius equals the largest vertex norm bit for bit,
+    with degenerate faces and bounds from 1e-5 to 1e5 in magnitude."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)
+    b = np.where(rng.random(n) < 0.3, a, b)  # degenerate faces
+    box = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    assert box.bounding_radius() == max(np.linalg.norm(v) for v in box_vertices(box))
 
 
 class TestBoxVertices:

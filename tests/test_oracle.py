@@ -14,7 +14,7 @@ from dcloc import (
     grid_search,
     local_refine,
 )
-from dcloc import oracle
+from dcloc import model, oracle
 from dcloc.instance_io import load_points_csv
 from dcloc.oracle import BudgetExceeded, EmptyIntersection
 from conftest import random_instance
@@ -144,8 +144,8 @@ class TestGridSearch:
         )
         n_sets = len(inst.attractions) + len(inst.repulsions)
         assert n_sets == 1217
-        # a 40 x 40 grid over an instance of this size still takes one chunk
-        assert oracle._CHUNK_ELEMENTS // (n_sets * 2) >= 1600
+        # a 40 x 40 grid over an instance of this size now spans several blocks
+        assert oracle._CHUNK_ELEMENTS // (len(inst.attractions) * 2) < 1600
         inst.attraction_batch, inst.repulsion_batch  # built outside the trace
         spec = GridSpec(np.array([0.0, -190.0]), np.array([60.0, -130.0]), 91)
         tracemalloc.start()
@@ -157,6 +157,30 @@ class TestGridSearch:
         assert result.evaluations == 8281
         # a box chunk's projections (2 coordinates) plus two (rows, sets) arrays
         assert peak <= 2 * 8 * oracle._CHUNK_ELEMENTS  # 64 MiB
+
+    @pytest.mark.parametrize("shape", ["point", "square"])
+    def test_blocks_match_one_block_at_fixture_scale(self, fixtures_dir, monkeypatch, shape):
+        # the oracle_grid benchmark window over the fixture groups: several
+        # blocks give the grid minimum and the values of one block bit for bit
+        half_side = 5.0 if shape == "square" else 0.0
+        inst = ProblemInstance(
+            2,
+            load_points_csv(fixtures_dir / "group_a.csv", shape=shape, half_side=half_side),
+            load_points_csv(fixtures_dir / "group_b.csv", shape=shape, half_side=half_side),
+            Ball([30.0, -160.0], 30.0),
+        )
+        spec = GridSpec(np.array([0.0, -190.0]), np.array([60.0, -130.0]), 40)
+        axes = np.linspace(0.0, 60.0, 40), np.linspace(-190.0, -130.0, 40)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+        pts = inst.constraint.project_many(grid)
+        assert model._CHUNK_ELEMENTS // (len(inst.attractions) * 2) < 1600
+        blocked = grid_search(inst, spec), model.evaluate_objective_many(inst, pts)
+        for module in (model, oracle):
+            monkeypatch.setattr(module, "_CHUNK_ELEMENTS", 1 << 22)
+        whole = grid_search(inst, spec), model.evaluate_objective_many(inst, pts)
+        assert blocked[0].best_value == whole[0].best_value
+        assert np.array_equal(blocked[0].best_x, whole[0].best_x)
+        assert np.array_equal(blocked[1].view(np.uint64), whole[1].view(np.uint64))
 
 
 class TestLocalRefine:
