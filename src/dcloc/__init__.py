@@ -20,6 +20,7 @@ from .geometry import (
 from .model import (
     ExistenceReport,
     ProblemInstance,
+    SetGroup,
     WeightedSet,
     evaluate_objective,
     evaluate_objective_many,

@@ -159,6 +159,15 @@ class ConvexSet:
         """A canonical point of the set (the 'center' for bounded shapes)."""
         raise NotImplementedError
 
+    @staticmethod
+    def _selection_array(*params) -> np.ndarray:
+        """Selection points of the sets whose stacked ``_key()`` parameters
+        are given as in ``_project_array`` (coordinate axis first, set axis
+        last), one column per set and bit for bit what ``selection_point``
+        returns.  This is the array kernel behind
+        ``model.SetBatch.selection_points``."""
+        raise NotImplementedError
+
     def interior_depth(self, x) -> float:
         """Distance from ``x`` to the boundary; <= 0 when the interior is empty
         or ``x`` lies outside, +inf deep inside an unbounded shape."""
@@ -211,6 +220,10 @@ class Singleton(ConvexSet):
 
     def selection_point(self) -> np.ndarray:
         return self.point.copy()
+
+    @staticmethod
+    def _selection_array(point):
+        return point.copy()
 
     def interior_depth(self, x) -> float:
         return 0.0 if self.contains(x) else -self.distance(x)
@@ -269,6 +282,10 @@ class Ball(ConvexSet):
 
     def selection_point(self) -> np.ndarray:
         return self.center.copy()
+
+    @staticmethod
+    def _selection_array(center, radius):
+        return center.copy()
 
     def interior_depth(self, x) -> float:
         x = self._check_dim(x)
@@ -352,6 +369,15 @@ class AxisBox(ConvexSet):
             return 0.5 * (self.lower + self.upper)
         return self.project(np.zeros(self.dim))
 
+    @staticmethod
+    def _selection_array(lower, upper):
+        # the projection of the origin, replaced by the midpoint in the
+        # columns of bounded boxes (and only there: inf + -inf would warn)
+        points = np.clip(np.zeros(lower.shape), lower, upper)
+        bounded = np.isfinite(lower).all(axis=0) & np.isfinite(upper).all(axis=0)
+        points[:, bounded] = 0.5 * (lower[:, bounded] + upper[:, bounded])
+        return points
+
     def interior_depth(self, x) -> float:
         x = self._check_dim(x)
         return float(np.min(np.minimum(x - self.lower, self.upper - x)))
@@ -426,6 +452,15 @@ class Halfspace(ConvexSet):
 
     def selection_point(self) -> np.ndarray:
         return self.project(np.zeros(self.dim))
+
+    @staticmethod
+    def _selection_array(normal, offset):
+        # project's formula at the origin, where its excess is -offset.  The
+        # squared norms come from np.dot on contiguous rows, as in project:
+        # np.sum over the coordinates may round them differently
+        rows = np.ascontiguousarray(normal.T)
+        squares = np.fromiter(map(np.dot, rows, rows), float, len(rows))
+        return 0.0 - (np.maximum(-offset, 0.0) / squares) * normal
 
     def interior_depth(self, x) -> float:
         x = self._check_dim(x)
@@ -518,6 +553,10 @@ def set_contains_set(inner: ConvexSet, outer: ConvexSet) -> bool | None:
             gap = np.linalg.norm(inner.center - outer.center) + inner.radius
             return bool(gap <= outer.radius + 1e-12 * (1.0 + outer.radius))
         if isinstance(inner, AxisBox) and inner.is_bounded():
-            return all(outer.contains(v) for v in box_vertices(inner))
+            # the vertex farthest from the centre takes, in every coordinate,
+            # the bound farther from it; the box is inside iff that vertex is
+            lower, upper = inner.lower, inner.upper
+            c = outer.center
+            return outer.contains(np.where(np.abs(lower - c) >= np.abs(upper - c), lower, upper))
         return None
     return None  # a singleton outer set: only a singleton fits, handled above

@@ -21,12 +21,13 @@ test and no certificate, and no route calls it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ConvexSet, _finite, coordinate_norms, membership_tol
-from .model import ProblemInstance, SetBatch, WeightedSet
+from .model import ProblemInstance, SetBatch, WeightedSet, _batch_of, _weights_of
 
 __all__ = [
     "InnerProblem",
@@ -50,7 +51,7 @@ class NotInConstraint(ValueError):
 class InnerProblem:
     v: np.ndarray
     lam: float
-    attractions: list[WeightedSet]
+    attractions: Sequence[WeightedSet]
     constraint: ConvexSet
 
     def __post_init__(self):
@@ -76,13 +77,13 @@ class InnerProblem:
     @property
     def batch(self) -> SetBatch:
         if self._batch is None:
-            self._batch = SetBatch([w.set for w in self.attractions])
+            self._batch = _batch_of(self.attractions)
         return self._batch
 
     @property
     def weights(self) -> np.ndarray:
         if self._weights is None:
-            self._weights = np.array([w.weight for w in self.attractions])
+            self._weights = _weights_of(self.attractions)
         return self._weights
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import AxisBox, Ball, ConvexSet, Halfspace, Singleton
-from .model import ProblemInstance, ValidationError, WeightedSet, require_valid
+from .model import ProblemInstance, SetGroup, ValidationError, WeightedSet, require_valid
 
 __all__ = [
     "ParseError",
@@ -146,31 +147,31 @@ def load_points_csv(
     shape: str = "point",
     half_side: float = 0.0,
     weight: float = 1.0,
-) -> list[WeightedSet]:
+) -> Sequence[WeightedSet]:
     """One weighted set per CSV row: singletons, or axis boxes of the given
     half side centered at the rows.
 
     Row 1 is a header when it is non-numeric; blank rows are skipped, ``#``
     starts no comment and cells may be quoted.  Well-formed finite input is
-    read as one array; any other input goes through a row-by-row parse, which
-    names the first bad row, or builds sets of each row's own dimension from
-    ragged rows.
+    read as one array and returned as a read-only ``SetGroup``, which builds
+    no set until one is read; any other input goes through a row-by-row
+    parse, which names the first bad row, or builds a list of sets of each
+    row's own dimension from ragged rows.
     """
     if shape not in ("point", "square"):
         raise ParseError(f"unknown csv shape {shape!r}")
     if shape == "square" and not 0 < half_side < math.inf:
         raise ParseError("square shape needs a positive finite half side")
     coords = _read_coordinates(path)
-    if coords is None:
-        rows = _parse_rows(path)
+    if coords is not None:
         if shape == "point":
-            shapes = map(Singleton, rows)
-        else:
-            shapes = (AxisBox(c - half_side, c + half_side) for c in rows)
-    elif shape == "point":
-        shapes = map(Singleton, coords)
+            return SetGroup(Singleton, (coords,), weight)
+        return SetGroup(AxisBox, (coords - half_side, coords + half_side), weight)
+    rows = _parse_rows(path)
+    if shape == "point":
+        shapes = map(Singleton, rows)
     else:
-        shapes = map(AxisBox, coords - half_side, coords + half_side)
+        shapes = (AxisBox(c - half_side, c + half_side) for c in rows)
     return [WeightedSet(s, weight) for s in shapes]
 
 

@@ -9,6 +9,7 @@ two convex components (each augmented by a quadratic term) lives here as well.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,7 @@ from .geometry import AxisBox, ConvexSet, Singleton, coordinate_norms, set_conta
 
 __all__ = [
     "WeightedSet",
+    "SetGroup",
     "ProblemInstance",
     "ExistenceReport",
     "SetBatch",
@@ -48,6 +50,86 @@ class WeightedSet:
         return self.weight == other.weight and self.set == other.set
 
 
+class SetGroup(Sequence):
+    """Read-only, array-backed sequence of weighted sets of one shape family
+    (singletons or axis boxes) that share one weight.
+
+    It holds the family's stacked ``_key()`` parameters with one row per set
+    (``(m, n)`` points, or ``(m, n)`` lower and upper bounds) and checks them
+    once, as arrays: the constructors' rules for the family (finite points;
+    bounds not NaN, lower <= upper) and a finite weight.  Input that fails
+    raises the error, with its message, that building the sets one by one
+    raises first.  A ``WeightedSet`` is built only when one is read: an index
+    builds that item through the ordinary constructors, and iteration builds
+    the whole list once and keeps it.  ``model.SetBatch`` takes the stacked
+    parameters as they are.  A group equals any sequence of equal items, and
+    ``+`` with another sequence gives a list.
+    """
+
+    _FAMILIES = (Singleton, AxisBox)
+
+    def __init__(self, kind: type, params, weight: float):
+        if kind not in self._FAMILIES:
+            raise TypeError(f"no array-backed group of {kind.__name__} sets")
+        params = tuple(_read_only(np.array(p, dtype=float)) for p in params)
+        if len(params) != len(kind.__dataclass_fields__) or any(
+            p.ndim != 2 or p.shape != params[0].shape for p in params
+        ):
+            raise ValueError(f"{kind.__name__} parameters need equal (m, n) shapes")
+        self.kind, self.params, self.weight = kind, params, weight
+        if not self._valid():
+            for i in range(len(self)):  # raises the first set's or weight's error
+                self[i]
+        self.weight = float(weight)
+
+    def _valid(self) -> bool:
+        try:
+            if not math.isfinite(float(self.weight)):
+                return False
+        except (TypeError, ValueError):
+            return False
+        if self.kind is Singleton:
+            return bool(np.isfinite(self.params[0]).all())
+        lower, upper = self.params
+        # lower <= upper is False against NaN, so it settles both box rules
+        return bool((lower <= upper).all())
+
+    @property
+    def dim(self) -> int:
+        """The sets' dimension."""
+        return self.params[0].shape[1]
+
+    def __len__(self) -> int:
+        return self.params[0].shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SetGroup(self.kind, (p[index] for p in self.params), self.weight)
+        i = range(len(self))[index]  # an int, negative ones included
+        return WeightedSet(self.kind(*(p[i] for p in self.params)), self.weight)
+
+    @cached_property
+    def _items(self) -> list[WeightedSet]:
+        return [self[i] for i in range(len(self))]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return f"SetGroup({self.kind.__name__}, {len(self)} sets, dim={self.dim}, weight={self.weight})"
+
+
 class SetBatch:
     """Vectorized projection/distance over a list of m convex sets.
 
@@ -61,13 +143,21 @@ class SetBatch:
     batch returns the kernel's result as it is.  A family contiguous in the
     set order is addressed by a slice rather than an index array.  The
     stacked parameters are read-only, since a singleton family's kernel
-    returns them as its projections.
+    returns them as its projections.  ``sets`` is a sequence of convex sets
+    or a ``SetGroup``, whose parameter rows are transposed into that layout
+    without building a set.
     """
 
-    def __init__(self, sets: list[ConvexSet]):
+    def __init__(self, sets: Sequence[ConvexSet] | SetGroup):
         self.n_sets = len(sets)
-        self.dim = sets[0].dim if sets else 0
         self._groups = []
+        if isinstance(sets, SetGroup):
+            self.dim = sets.dim if self.n_sets else 0
+            if self.n_sets:
+                params = tuple(_read_only(np.ascontiguousarray(p.T)) for p in sets.params)
+                self._groups.append((sets.kind, slice(0, self.n_sets), params))
+            return
+        self.dim = sets[0].dim if sets else 0
         by_kind: dict[type, list[int]] = {}
         for idx, s in enumerate(sets):
             by_kind.setdefault(type(s), []).append(idx)
@@ -119,6 +209,13 @@ class SetBatch:
             (self.dim, self.n_sets),
         )
 
+    def selection_points(self) -> np.ndarray:
+        """(n, m) array with column i set i's ``selection_point()``, bit for bit."""
+        return self._assemble(
+            lambda kind, where, params: kind._selection_array(*params),
+            (self.dim, self.n_sets),
+        )
+
     def distances(self, x: np.ndarray) -> np.ndarray:
         """(m,) distances from the point ``x`` to each set."""
         return coordinate_norms(x[:, None], self.projections(x))
@@ -154,8 +251,8 @@ class ProblemInstance:
     """
 
     dimension: int
-    attractions: list[WeightedSet]
-    repulsions: list[WeightedSet]
+    attractions: Sequence[WeightedSet]
+    repulsions: Sequence[WeightedSet]
     constraint: ConvexSet
 
     def __eq__(self, other):
@@ -170,21 +267,34 @@ class ProblemInstance:
 
     @cached_property
     def attraction_batch(self) -> SetBatch:
-        return SetBatch([w.set for w in self.attractions])
+        return _batch_of(self.attractions)
 
     @cached_property
     def repulsion_batch(self) -> SetBatch:
-        return SetBatch([w.set for w in self.repulsions])
-
-    # the weights are read-only: every caller of the instance shares them
+        return _batch_of(self.repulsions)
 
     @cached_property
     def attraction_weights(self) -> np.ndarray:
-        return _read_only(np.array([w.weight for w in self.attractions]))
+        return _weights_of(self.attractions)
 
     @cached_property
     def repulsion_weights(self) -> np.ndarray:
-        return _read_only(np.array([w.weight for w in self.repulsions]))
+        return _weights_of(self.repulsions)
+
+
+# A SetGroup hands its stacked parameters and its one weight to these two
+# without building a set.
+
+def _batch_of(weighted: Sequence[WeightedSet]) -> SetBatch:
+    """The ``SetBatch`` of the sets of a weighted sequence."""
+    return SetBatch(weighted if isinstance(weighted, SetGroup) else [w.set for w in weighted])
+
+
+def _weights_of(weighted: Sequence[WeightedSet]) -> np.ndarray:
+    """The weights of a weighted sequence, read-only: every user shares them."""
+    if isinstance(weighted, SetGroup):
+        return _read_only(np.full(len(weighted), weighted.weight))
+    return _read_only(np.array([w.weight for w in weighted]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -411,6 +521,8 @@ def structural_problems(inst: ProblemInstance) -> list[str]:
     """No attractions, nonpositive weights, and sets of the wrong dimension."""
     problems = []
     for label, group in (("attraction", inst.attractions), ("repulsion", inst.repulsions)):
+        if isinstance(group, SetGroup) and group.weight > 0 and group.dim == inst.dimension:
+            continue  # nothing to report set by set
         for i, w in enumerate(group):
             if not w.weight > 0:
                 problems.append(f"{label} {i}: weight must be strictly positive")
@@ -456,11 +568,9 @@ def _constraint_meetings(inst: ProblemInstance) -> list[str]:
     stop there."""
     batch = inst.attraction_batch
     project_constraint = inst.constraint.project_many
-    # streamed into one array: a list of per-set copies would set the memory
-    # peak; the (m, n) rows then work on as (n, m) columns
-    selections = (w.set.selection_point() for w in inst.attractions)
-    q = np.fromiter(selections, np.dtype((float, inst.dimension)), len(inst.attractions))
-    q = project_constraint(q).T
+    # the start points as C-ordered (m, n) rows: on another layout a
+    # halfspace constraint's sum over the coordinates may round differently
+    q = project_constraint(np.ascontiguousarray(batch.selection_points().T)).T
     for _ in range(25):
         q_next = project_constraint(batch.paired_projections(q).T).T
         if np.array_equal(q_next.view(np.uint64), q.view(np.uint64)):

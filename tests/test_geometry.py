@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcloc import (
@@ -15,6 +15,7 @@ from dcloc import (
     box_vertices,
     distance_subgradient,
 )
+from dcloc.geometry import set_contains_set
 from conftest import random_set, sample_point_in
 
 INF = np.inf
@@ -187,6 +188,39 @@ def test_box_bounding_radius_is_farthest_vertex(seed, n):
     b = np.where(rng.random(n) < 0.3, a, b)  # degenerate faces
     box = AxisBox(np.minimum(a, b), np.maximum(a, b))
     assert box.bounding_radius() == max(np.linalg.norm(v) for v in box_vertices(box))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_box_in_ball_matches_vertex_loop(seed, n):
+    """Containment of a bounded box in a ball, decided by its farthest vertex,
+    agrees with the test of every vertex wherever no vertex lies within
+    1e-6 of the sphere (the membership tolerance is 1e-9)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    b = np.where(rng.random(n) < 0.2, a, b)  # degenerate faces
+    box = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    center = rng.normal(scale=0.5, size=n)
+    vertices = box_vertices(box)
+    far = max(np.linalg.norm(v - center) for v in vertices)
+    ball = Ball(center, far * rng.uniform(0.8, 1.2))
+    assume(all(abs(np.linalg.norm(v - center) - ball.radius) > 1e-6 for v in vertices))
+    assert set_contains_set(box, ball) is all(ball.contains(v) for v in vertices)
+
+
+def test_box_in_ball_in_high_dimension_is_immediate():
+    # 2^14 vertices; the farthest one alone decides
+    n = 14
+    box = AxisBox(-np.ones(n), np.ones(n))
+    for radius, inside in ((2.0 * n, True), (np.sqrt(n) - 1e-3, False)):
+        ball = Ball(np.zeros(n), radius)
+        elapsed = []
+        for _ in range(5):  # the best of five, on a shared machine
+            start = time.perf_counter()
+            verdict = set_contains_set(box, ball)
+            elapsed.append(time.perf_counter() - start)
+            assert verdict is inside
+        assert min(elapsed) < 1e-3
 
 
 class TestBoxVertices:
