@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 
@@ -26,13 +25,7 @@ import numpy as np
 from . import analysis, dca, instance_io, oracle
 from .geometry import Ball, GeometryError
 from .inner import InnerConfig, NotInConstraint
-from .model import (
-    ProblemInstance,
-    SetGroup,
-    _constraint_meetings,
-    existence_classify,
-    require_valid,
-)
+from .model import ProblemInstance, _constraint_meetings, existence_classify, require_valid
 from .model import validate_instance  # noqa: F401  bench/tracing.py wraps it by this name
 
 EXIT_OK = 0
@@ -90,7 +83,7 @@ def _load_solve_instance(args) -> ProblemInstance:
         constraint = Ball(parts[:-1], parts[-1])
     except GeometryError as exc:
         raise instance_io.ParseError(f"bad --constraint-ball: {exc}") from exc
-    dim = attractions.dim if isinstance(attractions, SetGroup) else attractions[0].set.dim
+    dim = attractions[0].set.dim
     return require_valid(ProblemInstance(dim, attractions, repulsions, constraint))
 
 
@@ -303,14 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parsing leaves the parser as it was
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (instance_io.ParseError, instance_io.ValidationError) as exc:

@@ -157,15 +157,17 @@ class ConvexSet:
 
     def selection_point(self) -> np.ndarray:
         """A canonical point of the set (the 'center' for bounded shapes)."""
-        raise NotImplementedError
+        params = (p[:, None] if np.ndim(p) else p for p in self._key())
+        return self._selection_array(*params)[:, 0]
 
     @staticmethod
     def _selection_array(*params) -> np.ndarray:
         """Selection points of the sets whose stacked ``_key()`` parameters
         are given as in ``_project_array`` (coordinate axis first, set axis
-        last), one column per set and bit for bit what ``selection_point``
-        returns.  This is the array kernel behind
-        ``model.SetBatch.selection_points``."""
+        last), one column per set: the point of a singleton, the centre of a
+        ball, the midpoint of a bounded box, and the projection of the origin
+        onto an unbounded box or a halfspace.  This is the one kernel behind
+        ``selection_point`` and ``model.SetBatch.selection_points``."""
         raise NotImplementedError
 
     def interior_depth(self, x) -> float:
@@ -217,9 +219,6 @@ class Singleton(ConvexSet):
 
     def bounding_radius(self) -> float | None:
         return float(np.linalg.norm(self.point))
-
-    def selection_point(self) -> np.ndarray:
-        return self.point.copy()
 
     @staticmethod
     def _selection_array(point):
@@ -279,9 +278,6 @@ class Ball(ConvexSet):
 
     def bounding_radius(self) -> float | None:
         return float(np.linalg.norm(self.center)) + self.radius
-
-    def selection_point(self) -> np.ndarray:
-        return self.center.copy()
 
     @staticmethod
     def _selection_array(center, radius):
@@ -364,11 +360,6 @@ class AxisBox(ConvexSet):
         # the farthest vertex takes the larger-magnitude bound in every coordinate
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def selection_point(self) -> np.ndarray:
-        if self.is_bounded():
-            return 0.5 * (self.lower + self.upper)
-        return self.project(np.zeros(self.dim))
-
     @staticmethod
     def _selection_array(lower, upper):
         # the projection of the origin, replaced by the midpoint in the
@@ -449,9 +440,6 @@ class Halfspace(ConvexSet):
 
     def bounding_radius(self) -> float | None:
         return None
-
-    def selection_point(self) -> np.ndarray:
-        return self.project(np.zeros(self.dim))
 
     @staticmethod
     def _selection_array(normal, offset):

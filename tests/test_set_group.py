@@ -47,8 +47,9 @@ def report_fields(report):
 
 
 @pytest.mark.parametrize("shape,half_side", FOOTPRINTS)
-def test_csv_solve_builds_no_sets(fixtures_dir, tmp_path, monkeypatch, shape, half_side):
-    """A CSV solve reads its groups as arrays from load to report."""
+def test_csv_solve_reads_groups_as_arrays(fixtures_dir, tmp_path, monkeypatch, shape, half_side):
+    """A CSV solve reads its groups as arrays from load to report: it builds
+    one set, the first attraction, for the instance's dimension."""
     built = []
     for cls in (Singleton, AxisBox, WeightedSet):
         def counted(self, original=cls.__post_init__):
@@ -63,10 +64,10 @@ def test_csv_solve_builds_no_sets(fixtures_dir, tmp_path, monkeypatch, shape, ha
         "--output", str(tmp_path / "report.json"),
     ])
     assert code == EXIT_OK
-    assert built == []
+    assert built == ["Singleton" if shape == "point" else "AxisBox", "WeightedSet"]
     # the counters do count: reading a group builds its sets
     list(load_points_csv(fixtures_dir / "group_b.csv", shape=shape, half_side=half_side))
-    assert len(built) == 2 * 120
+    assert len(built) == 2 + 2 * 120
 
 
 def fixture_pair(fixtures_dir, shape, half_side, constraint, **kwargs):
@@ -225,6 +226,17 @@ def random_sets(rng, family, count, n, unbounded):
     return sets
 
 
+def selection_rule(s):
+    """A set's selection point computed by its own scalar methods."""
+    if isinstance(s, Singleton):
+        return s.point
+    if isinstance(s, Ball):
+        return s.center
+    if isinstance(s, AxisBox) and s.is_bounded():
+        return 0.5 * (s.lower + s.upper)
+    return s.project(np.zeros(s.dim))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -235,7 +247,9 @@ def random_sets(rng, family, count, n, unbounded):
 )
 def test_selection_points_match_per_set(seed, counts, n, interleave, unbounded):
     """``SetBatch.selection_points`` is the stacked ``selection_point()`` of
-    every set, bit for bit, for every family, contiguous or interleaved."""
+    every set, bit for bit, for every family, contiguous or interleaved, and
+    each is the family's rule: the point, the centre, a bounded box's
+    midpoint, or the projection of the origin."""
     rng = np.random.default_rng(seed)
     sets = [
         s
@@ -249,5 +263,7 @@ def test_selection_points_match_per_set(seed, counts, n, interleave, unbounded):
     want = np.stack([s.selection_point() for s in sets], axis=1)
     assert got.shape == want.shape == (n, len(sets))
     assert got.tobytes() == want.tobytes()
+    rule = np.stack([selection_rule(s) for s in sets], axis=1)
+    assert want.tobytes() == rule.tobytes()
     for _, _, params in batch._groups:  # the stacked parameters are untouched
         assert all(not p.flags.writeable for p in params)
