@@ -14,8 +14,6 @@ from .geometry import (
     GeometryError,
     Halfspace,
     Singleton,
-    box_vertices,
-    distance_subgradient,
 )
 from .model import (
     ExistenceReport,
@@ -59,6 +57,6 @@ from .analysis import (
     solve_special,
     uniqueness_check,
 )
-from .oracle import GridSpec, OracleResult, grid_search, local_refine
+from .oracle import GridSpec, OracleResult, grid_search
 
 __version__ = "0.1.0"

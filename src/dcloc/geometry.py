@@ -10,9 +10,8 @@ their projection would need an inner QP.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +23,7 @@ __all__ = [
     "Ball",
     "AxisBox",
     "Halfspace",
-    "DistanceSubgradient",
     "membership_tol",
-    "box_vertices",
     "set_contains_set",
 ]
 
@@ -474,43 +471,6 @@ class Halfspace(ConvexSet):
 
     def _key(self):
         return (self.normal, self.offset)
-
-
-@dataclass(frozen=True)
-class DistanceSubgradient:
-    """Subgradient information for the distance function at a point.
-
-    Outside the set the subdifferential is the singleton unit vector
-    ``gradient``; on the set it is the normal cone intersected with the unit
-    ball, reported here by reference to the set (0 is always a valid pick).
-    """
-
-    on_set: bool
-    gradient: np.ndarray | None = None
-    set_ref: ConvexSet | None = field(default=None, repr=False)
-
-
-def distance_subgradient(Q: ConvexSet, x, tol: float | None = None) -> DistanceSubgradient:
-    """Subdifferential of the distance function to ``Q`` at ``x``."""
-    x = Q._check_dim(x)
-    if tol is None:
-        tol = membership_tol(x)
-    d = Q.distance(x)
-    if d > tol:
-        return DistanceSubgradient(on_set=False, gradient=(x - Q.project(x)) / d)
-    return DistanceSubgradient(on_set=True, set_ref=Q)
-
-
-def box_vertices(Q: ConvexSet) -> list[np.ndarray]:
-    """Corner points of a bounded axis box, degenerate faces collapsed."""
-    if not isinstance(Q, AxisBox):
-        raise GeometryError("vertices are only defined for axis boxes")
-    if not Q.is_bounded():
-        raise GeometryError("vertices of an unbounded box are undefined")
-    choices = []
-    for lo, hi in zip(Q.lower, Q.upper):
-        choices.append((lo,) if lo == hi else (lo, hi))
-    return [np.array(c, dtype=float) for c in itertools.product(*choices)]
 
 
 def set_contains_set(inner: ConvexSet, outer: ConvexSet) -> bool | None:

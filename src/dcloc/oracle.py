@@ -1,10 +1,9 @@
 """Brute-force verification oracle.
 
-Exhaustive projected grid search plus a coordinate pattern-search refiner.
-This is a test instrument for desk-scale problems, not a solver: the budget
-cap keeps accidental high-dimensional grids from blowing up, and the result
-is deterministic including the tie-break (lexicographically smallest
-minimizer).
+Exhaustive projected grid search.  This is a test instrument for desk-scale
+problems, not a solver: the budget cap keeps accidental high-dimensional
+grids from blowing up, and the result is deterministic including the
+tie-break (lexicographically smallest minimizer).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .model import (
     ProblemInstance,
     _block_rows,
     _row_blocks,
-    evaluate_objective,
+    evaluate_objective,  # noqa: F401  bench/tracing.py wraps it by this name
     evaluate_objective_many,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "BudgetExceeded",
     "EmptyIntersection",
     "grid_search",
-    "local_refine",
 ]
 
 _DEFAULT_BUDGET = 10**7
@@ -126,34 +124,3 @@ def _grid_rows(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
     """Rows ``start`` to ``stop - 1`` of the flattened "ij" meshgrid of ``axes``."""
     idx = np.unravel_index(np.arange(start, stop), [axis.size for axis in axes])
     return np.column_stack([axis[i] for axis, i in zip(axes, idx)])
-
-
-def local_refine(
-    inst: ProblemInstance, x0, radius: float, rounds: int = 30
-) -> OracleResult:
-    """Coordinate pattern search, halving the radius each round.
-
-    Every trial point is projected onto the constraint set; the returned value
-    is never worse than at the start.
-    """
-    x = inst.constraint.project(np.asarray(x0, dtype=float))
-    val = evaluate_objective(inst, x)
-    n = inst.dimension
-    evaluations = 1
-    step = float(radius)
-    for _ in range(rounds):
-        improved = True
-        while improved:
-            improved = False
-            for k in range(n):
-                for sign in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[k] += sign * step
-                    cand = inst.constraint.project(cand)
-                    cand_val = evaluate_objective(inst, cand)
-                    evaluations += 1
-                    if cand_val < val:
-                        x, val = cand, cand_val
-                        improved = True
-        step *= 0.5
-    return OracleResult(best_x=x, best_value=val, evaluations=evaluations, spacing=step)

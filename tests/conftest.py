@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import numpy as np
@@ -30,6 +31,14 @@ def random_set(rng: np.random.Generator, n: int, bounded_only: bool = False, kin
     while np.linalg.norm(normal) < 1e-3:
         normal = rng.normal(size=n)
     return Halfspace(normal, float(rng.normal()))
+
+
+def box_vertices(box: AxisBox) -> list[np.ndarray]:
+    """Corner points of a bounded axis box, degenerate faces collapsed, in
+    lexicographic order with the lower bound first: the reference that the
+    closed-form box rules are checked against."""
+    choices = [(lo,) if lo == hi else (lo, hi) for lo, hi in zip(box.lower, box.upper)]
+    return [np.array(c, dtype=float) for c in itertools.product(*choices)]
 
 
 def sample_point_in(rng: np.random.Generator, Q) -> np.ndarray:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dcloc import (
     solve_special,
     uniqueness_check,
 )
+from conftest import box_vertices
 
 INF = np.inf
 
@@ -236,6 +238,94 @@ def test_ball_maximizers_beat_boundary_samples(kind, data, tol):
     best = max(tops_values)
     assert min(tops_values) >= best - slack * (1 + best)
     assert values.max() <= best + 1e-12 * (1 + best)
+
+
+def reduced_max_by_enumeration(inst: SpecialInstance, tol: float) -> list[np.ndarray]:
+    """The box maximizers from every vertex: those within the cut of the
+    best, after a test of every edge next to one of them."""
+    omega, theta = inst.omega, inst.theta
+    vertices = box_vertices(omega)
+    values = [theta.distance(v) for v in vertices]
+    best = max(values)
+    cut = best - tol * (1 + best)
+    tops = [v for v, val in zip(vertices, values) if val >= cut]
+    middle = 0.5 * (omega.lower + omega.upper)
+    for v in tops:
+        for k in np.flatnonzero(omega.lower < omega.upper):
+            x = v.copy()
+            x[k] = middle[k]
+            if theta.distance(x) >= cut:
+                raise GeometryError("a whole edge of the box maximizes")
+    return tops
+
+
+@st.composite
+def box_against(draw, kind: str):
+    """A box attractor of dimension up to 8 with some degenerate faces,
+    against a repeller of the given family.  Integer coordinates make ties,
+    and zero normal components, common."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(float)
+        radius = st.integers(1, 3).map(float)
+    else:
+        coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+        radius = st.floats(0.1, 3.0)
+
+    def vec():
+        return np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+
+    a, b = vec(), vec()
+    b = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), a, b)
+    omega = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    if kind == "point":
+        theta = Singleton(vec())
+    elif kind == "ball":
+        theta = Ball(vec(), draw(radius))
+    elif kind == "box":
+        a, b = vec(), vec()
+        theta = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    else:
+        normal = vec()
+        assume(np.linalg.norm(normal) > 0.1)
+        theta = Halfspace(normal, draw(coord))
+    return SpecialInstance(omega, theta, alpha=2.0)
+
+
+def outcome(solve, inst, tol):
+    try:
+        return [tuple(v) for v in solve(inst, tol)]
+    except GeometryError:
+        return "infinitely many"
+
+
+@pytest.mark.parametrize("kind", ["point", "ball", "box", "halfspace"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([0.0, 1e-9]))
+def test_box_maximizers_match_vertex_enumeration(kind, data, tol):
+    """Over a box, the maximizers built from one vertex and its edges are the
+    list that enumerating every vertex gives, in the same order, and both
+    raise in the same cases."""
+    inst = data.draw(box_against(kind))
+    expected = outcome(reduced_max_by_enumeration, inst, tol)
+    assert outcome(solve_reduced_max, inst, tol) == expected
+
+
+@pytest.mark.parametrize(
+    "theta,count",
+    [(Singleton(np.zeros(16)), 2), (Halfspace(np.ones(16), 0.5), 1)],
+)
+def test_box_reduced_max_in_high_dimension_is_immediate(theta, count):
+    # 2^16 vertices; the top vertex, its edges and one tie decide
+    n = 16
+    inst = SpecialInstance(AxisBox(-np.ones(n), np.arange(1.0, n + 1)), theta, alpha=2.0)
+    elapsed = []
+    for _ in range(5):  # the best of five, on a shared machine
+        start = time.perf_counter()
+        tops = solve_reduced_max(inst)
+        elapsed.append(time.perf_counter() - start)
+        assert len(tops) == count
+    assert min(elapsed) < 1e-3
 
 
 class TestSolutionRays:

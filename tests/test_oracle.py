@@ -12,7 +12,6 @@ from dcloc import (
     WeightedSet,
     evaluate_objective,
     grid_search,
-    local_refine,
 )
 from dcloc import model, oracle
 from dcloc.instance_io import load_points_csv
@@ -181,38 +180,3 @@ class TestGridSearch:
         assert blocked[0].best_value == whole[0].best_value
         assert np.array_equal(blocked[0].best_x, whole[0].best_x)
         assert np.array_equal(blocked[1].view(np.uint64), whole[1].view(np.uint64))
-
-
-class TestLocalRefine:
-    def test_refines_to_interior_optimum(self):
-        inst = ProblemInstance(
-            2,
-            [WeightedSet(Singleton([0.3, -0.7]), 2.0)],
-            [],
-            Ball([0, 0], 2.0),
-        )
-        result = local_refine(inst, [1.0, 1.0], radius=1.0)
-        assert np.allclose(result.best_x, [0.3, -0.7], atol=1e-6)
-        assert result.best_value <= 1e-6
-
-    def test_never_worse_than_start(self):
-        rng = np.random.default_rng(67)
-        for _ in range(20):
-            inst = random_instance(rng, int(rng.integers(1, 4)))
-            x0 = inst.constraint.project(rng.normal(size=inst.dimension))
-            result = local_refine(inst, x0, radius=0.5, rounds=10)
-            assert result.best_value <= evaluate_objective(inst, x0) + 1e-12
-            assert inst.constraint.contains(result.best_x, 1e-9)
-
-    def test_sharpens_grid_result(self):
-        inst = ProblemInstance(
-            2,
-            [WeightedSet(Singleton([0.123, 0.456]), 1.0)],
-            [],
-            Ball([0, 0], 2.0),
-        )
-        spec = GridSpec(np.full(2, -2.0), np.full(2, 2.0), 21)
-        coarse = grid_search(inst, spec)
-        fine = local_refine(inst, coarse.best_x, radius=coarse.spacing)
-        assert fine.best_value <= coarse.best_value + 1e-12
-        assert np.allclose(fine.best_x, [0.123, 0.456], atol=1e-6)
