@@ -91,8 +91,6 @@ def _repulsion_subgradient(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     Unit direction away from each repulsion set not containing ``x``; the zero
     selection on sets that do contain it.
     """
-    if not inst.repulsions:
-        return np.zeros(inst.dimension)
     diff = x[:, None] - inst.repulsion_batch.projections(x)
     dists = coordinate_norms(diff)
     scale = np.divide(

@@ -11,6 +11,7 @@ their projection would need an inner QP.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ class GeometryError(ValueError):
 
 class DimensionMismatch(GeometryError):
     """Operands live in spaces of different dimension."""
+
+
+# the least and the greatest positive normal float
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _vec(x) -> np.ndarray:
@@ -400,8 +405,15 @@ class Halfspace(ConvexSet):
     def __post_init__(self):
         self.normal = _finite(_vec(self.normal), "halfspace normal")
         self.offset = _finite(float(self.offset), "halfspace offset")
-        if np.linalg.norm(self.normal) == 0:
-            raise GeometryError("halfspace normal must be nonzero")
+        # projections divide by the squared norm, which must not have
+        # underflowed to zero or a subnormal, nor overflowed
+        with np.errstate(over="ignore", under="ignore"):
+            squared = float(np.dot(self.normal, self.normal))
+        if not _TINY <= squared <= _HUGE:
+            raise GeometryError(
+                f"halfspace normal has squared norm {squared}, outside the "
+                f"normal floats [{_TINY}, {_HUGE}]"
+            )
 
     @property
     def dim(self) -> int:

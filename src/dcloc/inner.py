@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,6 @@ class InnerProblem:
         self.lam = float(self.lam)
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"quadratic coefficient must be finite and positive, got {self.lam}")
-        self._batch = None
-        self._weights = None
 
     @classmethod
     def for_instance(cls, inst: ProblemInstance, v, lam: float) -> InnerProblem:
@@ -70,21 +69,17 @@ class InnerProblem:
         building one per outer step costs no set stacking.
         """
         prob = cls(v, lam, inst.attractions, inst.constraint)
-        prob._batch = inst.attraction_batch
-        prob._weights = inst.attraction_weights
+        prob.batch = inst.attraction_batch
+        prob.weights = inst.attraction_weights
         return prob
 
-    @property
+    @cached_property
     def batch(self) -> SetBatch:
-        if self._batch is None:
-            self._batch = _batch_of(self.attractions)
-        return self._batch
+        return _batch_of(self.attractions)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = _weights_of(self.attractions)
-        return self._weights
+        return _weights_of(self.attractions)
 
 
 # converged=True needs a primal-dual gap of at most GAP_TOL * (1 + |value|)
@@ -128,11 +123,8 @@ def phi(prob: InnerProblem, x) -> float:
 
 def _phi_terms(prob: InnerProblem, x: np.ndarray):
     """``phi(prob, x)`` together with the residuals ``x - P_i(x)`` onto the
-    attraction sets, as the columns of an (n, m) array, and their norms (both
-    None without attraction sets)."""
+    attraction sets, as the columns of an (n, m) array, and their norms."""
     val = 0.5 * prob.lam * float(x @ x) - float(prob.v @ x)
-    if not prob.attractions:
-        return val, None, None
     diff = x[:, None] - prob.batch.projections(x)
     dists = coordinate_norms(diff)
     return val + float(prob.weights @ dists), diff, dists
@@ -244,19 +236,16 @@ def _fixed_point_result(prob: InnerProblem, x: np.ndarray, maps: int) -> InnerRe
     """The fixed-point route's result at ``x``, judged by its gap against the
     unit-residual dual point."""
     value, diff, dists = _phi_terms(prob, x)
-    if diff is None:  # the map's point P_C(v / lam) is the minimizer
-        gap = 0.0
-    else:
-        # u_i = (x - P_i x) / d_i, and u_i = 0 on a set: there the residual
-        # is rounding noise, and a unit u_i built from it could certify a
-        # point that is not the minimizer; u is never built
-        off = dists > membership_tol(x)
-        inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=off)
-        z = prob.v - diff @ inv
-        # u_i.(x - P_i x) = d_i off the sets, so only the sets' own d_i are
-        # left of the Fenchel-Young terms
-        np.putmask(dists, off, 0.0)
-        gap = _gap(prob, x, dists, z, prob.constraint.project(z / prob.lam))
+    # u_i = (x - P_i x) / d_i, and u_i = 0 on a set: there the residual is
+    # rounding noise, and a unit u_i built from it could certify a point that
+    # is not the minimizer; u is never built
+    off = dists > membership_tol(x)
+    inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=off)
+    z = prob.v - diff @ inv
+    # u_i.(x - P_i x) = d_i off the sets, so only the sets' own d_i are left
+    # of the Fenchel-Young terms
+    np.putmask(dists, off, 0.0)
+    gap = _gap(prob, x, dists, z, prob.constraint.project(z / prob.lam))
     return InnerResult(
         x=x,
         value=value,
@@ -283,10 +272,9 @@ def subgradient_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) ->
     best_val, diff, dists = _phi_terms(prob, x)
     threshold_scale = 1e-9
     for ell in range(1, cfg.max_iters + 1):
-        u = prob.lam * x - prob.v
-        if diff is not None:
-            safe = dists > threshold_scale * (1.0 + np.linalg.norm(x))
-            u = u + diff @ np.divide(prob.weights, dists, out=np.zeros_like(dists), where=safe)
+        safe = dists > threshold_scale * (1.0 + np.linalg.norm(x))
+        inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=safe)
+        u = prob.lam * x - prob.v + diff @ inv
         x = prob.constraint.project(x - u / ell)
         val, diff, dists = _phi_terms(prob, x)
         if val < best_val:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -142,37 +141,26 @@ def write_instance(inst: ProblemInstance, path) -> None:
     )
 
 
-def load_points_csv(
-    path,
-    shape: str = "point",
-    half_side: float = 0.0,
-    weight: float = 1.0,
-) -> Sequence[WeightedSet]:
-    """One weighted set per CSV row: singletons, or axis boxes of the given
-    half side centered at the rows.
+def load_points_csv(path, shape: str = "point", half_side: float = 0.0) -> SetGroup:
+    """One set of weight 1 per CSV row: singletons, or axis boxes of the
+    given half side centered at the rows, as a read-only ``SetGroup``, which
+    builds no set until one is read.
 
     Row 1 is a header when it is non-numeric; blank rows are skipped, ``#``
     starts no comment and cells may be quoted.  Well-formed finite input is
-    read as one array and returned as a read-only ``SetGroup``, which builds
-    no set until one is read; any other input goes through a row-by-row
-    parse, which names the first bad row, or builds a list of sets of each
-    row's own dimension from ragged rows.
+    read as one array; any other input goes through a row-by-row parse,
+    which raises ``ParseError`` naming the first bad row.
     """
     if shape not in ("point", "square"):
         raise ParseError(f"unknown csv shape {shape!r}")
     if shape == "square" and not 0 < half_side < math.inf:
         raise ParseError("square shape needs a positive finite half side")
     coords = _read_coordinates(path)
-    if coords is not None:
-        if shape == "point":
-            return SetGroup(Singleton, (coords,), weight)
-        return SetGroup(AxisBox, (coords - half_side, coords + half_side), weight)
-    rows = _parse_rows(path)
+    if coords is None:
+        coords = _parse_rows(path)
     if shape == "point":
-        shapes = map(Singleton, rows)
-    else:
-        shapes = (AxisBox(c - half_side, c + half_side) for c in rows)
-    return [WeightedSet(s, weight) for s in shapes]
+        return SetGroup(Singleton, (coords,), 1.0)
+    return SetGroup(AxisBox, (coords - half_side, coords + half_side), 1.0)
 
 
 def _is_blank(row: list[str]) -> bool:
@@ -211,10 +199,12 @@ def _is_numeric(row: list[str]) -> bool:
     return True
 
 
-def _parse_rows(path) -> list[np.ndarray]:
-    """Coordinates of each data row, converted one row at a time; raises
-    ParseError naming the first bad row."""
-    rows: list[np.ndarray] = []
+def _parse_rows(path) -> np.ndarray:
+    """The data rows as one (rows, dimension) array, converted one row at a
+    time; raises ParseError naming the first bad row: a non-numeric cell
+    after row 1, a non-finite value, or a length other than the first data
+    row's."""
+    rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for rownum, row in enumerate(csv.reader(fh), start=1):
             if _is_blank(row):
@@ -227,7 +217,12 @@ def _parse_rows(path) -> list[np.ndarray]:
                 raise ParseError(f"{path}: non-numeric data at row {rownum}")
             if not all(map(math.isfinite, values)):
                 raise ParseError(f"{path}: non-finite coordinate at row {rownum}")
-            rows.append(np.array(values))
+            if rows and len(values) != len(rows[0]):
+                raise ParseError(
+                    f"{path}: row {rownum} has {len(values)} coordinates, "
+                    f"the first data row has {len(rows[0])}"
+                )
+            rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    return np.array(rows)

@@ -8,7 +8,9 @@ two convex components (each augmented by a quadratic term) lives here as well.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,11 +61,11 @@ class SetGroup(Sequence):
     once, as arrays: the constructors' rules for the family (finite points;
     bounds not NaN, lower <= upper) and a finite weight.  Input that fails
     raises the error, with its message, that building the sets one by one
-    raises first.  A ``WeightedSet`` is built only when one is read: an index
-    builds that item through the ordinary constructors, and iteration builds
-    the whole list once and keeps it.  ``model.SetBatch`` takes the stacked
-    parameters as they are.  A group equals any sequence of equal items, and
-    ``+`` with another sequence gives a list.
+    raises first.  A ``WeightedSet`` is built only when one is read: an
+    integer index builds that item through the ordinary constructors, and
+    iteration builds the whole list once and keeps it.  ``model.SetBatch``
+    takes the stacked parameters as they are.  A group equals any sequence of
+    equal items.
     """
 
     _FAMILIES = (Singleton, AxisBox)
@@ -102,10 +104,8 @@ class SetGroup(Sequence):
     def __len__(self) -> int:
         return self.params[0].shape[0]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SetGroup(self.kind, (p[index] for p in self.params), self.weight)
-        i = range(len(self))[index]  # an int, negative ones included
+    def __getitem__(self, index: int) -> WeightedSet:
+        i = range(len(self))[operator.index(index)]  # negative ones included
         return WeightedSet(self.kind(*(p[i] for p in self.params)), self.weight)
 
     @cached_property
@@ -119,12 +119,6 @@ class SetGroup(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
 
     def __repr__(self) -> str:
         return f"SetGroup({self.kind.__name__}, {len(self)} sets, dim={self.dim}, weight={self.weight})"
@@ -152,10 +146,9 @@ class SetBatch:
         self.n_sets = len(sets)
         self._groups = []
         if isinstance(sets, SetGroup):
-            self.dim = sets.dim if self.n_sets else 0
-            if self.n_sets:
-                params = tuple(_read_only(np.ascontiguousarray(p.T)) for p in sets.params)
-                self._groups.append((sets.kind, slice(0, self.n_sets), params))
+            self.dim = sets.dim
+            params = tuple(_read_only(np.ascontiguousarray(p.T)) for p in sets.params)
+            self._groups.append((sets.kind, slice(0, self.n_sets), params))
             return
         self.dim = sets[0].dim if sets else 0
         by_kind: dict[type, list[int]] = {}
@@ -199,14 +192,14 @@ class SetBatch:
         col = x[:, None]
         return self._assemble(
             lambda kind, where, params: kind._project_array(col, *params),
-            (self.dim, self.n_sets),
+            (len(x), self.n_sets),
         )
 
     def paired_projections(self, pts: np.ndarray) -> np.ndarray:
         """(n, m) array with column i the projection of ``pts[:, i]`` onto set i."""
         return self._assemble(
             lambda kind, where, params: kind._project_array(pts[:, where], *params),
-            (self.dim, self.n_sets),
+            (len(pts), self.n_sets),
         )
 
     def selection_points(self) -> np.ndarray:
@@ -308,9 +301,7 @@ def evaluate_objective(inst: ProblemInstance, x) -> float:
     if x.shape != (inst.dimension,):
         raise ValueError(f"point of shape {x.shape} vs dimension {inst.dimension}")
     val = float(inst.attraction_weights @ inst.attraction_batch.distances(x))
-    if inst.repulsions:
-        val -= float(inst.repulsion_weights @ inst.repulsion_batch.distances(x))
-    return val
+    return val - float(inst.repulsion_weights @ inst.repulsion_batch.distances(x))
 
 
 # Bulk evaluation works in blocks of rows, and a block's work array holds
@@ -382,8 +373,7 @@ def _objective_rows(inst: ProblemInstance, pts: np.ndarray, work: np.ndarray, ou
         return batch.distances_many(pts, out=work[:math.prod(shape)].reshape(shape))
 
     np.matmul(distances(inst.attraction_batch), inst.attraction_weights, out=out)
-    if inst.repulsions:
-        out -= distances(inst.repulsion_batch) @ inst.repulsion_weights
+    out -= distances(inst.repulsion_batch) @ inst.repulsion_weights
 
 
 def evaluate_split(inst: ProblemInstance, lam: float, x) -> tuple[float, float]:
@@ -395,9 +385,7 @@ def evaluate_split(inst: ProblemInstance, lam: float, x) -> tuple[float, float]:
     """
     x = np.asarray(x, dtype=float)
     quad = 0.5 * lam * float(x @ x)
-    h = quad
-    if inst.repulsions:
-        h += float(inst.repulsion_weights @ inst.repulsion_batch.distances(x))
+    h = quad + float(inst.repulsion_weights @ inst.repulsion_batch.distances(x))
     if not inst.constraint.contains(x):
         return math.inf, h
     g = quad + float(inst.attraction_weights @ inst.attraction_batch.distances(x))
@@ -439,8 +427,8 @@ def existence_classify(inst: ProblemInstance) -> ExistenceReport:
     equal-weight case, the imbalance vector whose norm gives the asymptotic
     objective level.
     """
-    sum_a = float(np.sum(inst.attraction_weights)) if inst.attractions else 0.0
-    sum_b = float(np.sum(inst.repulsion_weights)) if inst.repulsions else 0.0
+    sum_a = float(np.sum(inst.attraction_weights))
+    sum_b = float(np.sum(inst.repulsion_weights))
     weight_scale = max(sum_a, sum_b, 1.0)
     equal_weights = abs(sum_a - sum_b) <= 1e-12 * weight_scale
 
@@ -454,7 +442,7 @@ def existence_classify(inst: ProblemInstance) -> ExistenceReport:
             break
 
     all_singletons = all(
-        isinstance(w.set, Singleton) for w in inst.attractions + inst.repulsions
+        isinstance(w.set, Singleton) for w in itertools.chain(inst.attractions, inst.repulsions)
     )
     if all_singletons and equal_weights and inst.repulsions:
         report.imbalance = sum(

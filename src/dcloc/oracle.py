@@ -30,7 +30,8 @@ __all__ = [
     "grid_search",
 ]
 
-_DEFAULT_BUDGET = 10**7
+# the most grid points one search may evaluate
+_BUDGET = 10**7
 
 
 class BudgetExceeded(ValueError):
@@ -46,7 +47,6 @@ class GridSpec:
     lower: np.ndarray
     upper: np.ndarray
     points_per_axis: int
-    budget: int = _DEFAULT_BUDGET
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -85,8 +85,8 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     if n > 4:
         raise BudgetExceeded("grid search is restricted to dimension <= 4")
     total = grid.points_per_axis**n
-    if total > grid.budget:
-        raise BudgetExceeded(f"{total} evaluations exceed the budget {grid.budget}")
+    if total > _BUDGET:
+        raise BudgetExceeded(f"{total} evaluations exceed the budget {_BUDGET}")
     axes = [
         np.linspace(grid.lower[k], grid.upper[k], grid.points_per_axis)
         for k in range(n)

@@ -1,4 +1,7 @@
+import math
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +61,27 @@ class TestConstruction:
     def test_non_finite_rejected(self, make):
         with pytest.raises(GeometryError):
             make()
+
+    # a squared norm that underflows to 0, one that is subnormal (the
+    # projection of [1, 0] would be [-1.1e-5, 0]) and one that overflows
+    # (every point would be a member)
+    @pytest.mark.parametrize("normal, squared", [
+        ([9.48e-288], "0.0"),
+        ([1e-160, 0.0], "1e-320"),
+        ([1e200, 0.0], "inf"),
+    ])
+    def test_halfspace_normal_squared_norm_must_be_normal(self, normal, squared):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=f"squared norm {squared}, outside the normal"):
+                Halfspace(normal, 0.0)
+
+    def test_halfspace_normal_at_the_squared_norm_bounds(self):
+        # squared norms at the least normal float and near the greatest
+        tiny = Halfspace([math.sqrt(sys.float_info.min)], 0.0)
+        huge = Halfspace([1.3e154, 0.0], 0.0)
+        assert np.array_equal(tiny.project([1.0]), [0.0])
+        assert not huge.contains([1.0, 0.0])
 
     def test_infinite_box_bounds_allowed(self):
         assert AxisBox([-INF, 0.0], [INF, 0.0]).dim == 2

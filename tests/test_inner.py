@@ -357,6 +357,10 @@ class TestDualSolve:
         result = dual_solve(prob, [0.0, 0.0])
         assert certified(result) and result.gap == 0.0
         assert np.allclose(result.x, [1.0, 0.0])
+        # the fixed-point route certifies the same point through its gap
+        fixed = weiszfeld_solve(prob, [0.0, 0.0])
+        assert certified(fixed) and fixed.gap == 0.0
+        assert fixed.x.tobytes() == result.x.tobytes()
 
     def test_never_worse_than_start(self):
         # the start is kept when no dual iterate improves on it

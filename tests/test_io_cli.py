@@ -192,6 +192,11 @@ def row_loop_sets(path, shape, half_side):
                 raise ParseError(f"{path}: non-numeric data at row {rownum}")
             if not all(map(math.isfinite, values)):
                 raise ParseError(f"{path}: non-finite coordinate at row {rownum}")
+            if sets and len(values) != sets[0].set.dim:
+                raise ParseError(
+                    f"{path}: row {rownum} has {len(values)} coordinates, "
+                    f"the first data row has {sets[0].set.dim}"
+                )
             coords = np.array(values)
             if shape == "point":
                 s = Singleton(coords)
@@ -353,7 +358,7 @@ class TestCliSolve:
         assert "--starts must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, ball, message", [
-        ("1,2\n3,4,5\n", "0,0,10", "attraction 1: set dimension 3 != instance dimension 2"),
+        ("1,2\n3,4,5\n", "0,0,10", "row 2 has 3 coordinates, the first data row has 2"),
         ("1,2\n3,4\n", "0,10", "constraint set dimension 1 != instance dimension 2"),
         ("1,2\nnan,4\n", "0,0,10", "non-finite coordinate at row 2"),
         ("1,2\n3,inf\n", "0,0,10", "non-finite coordinate at row 2"),
@@ -376,6 +381,13 @@ class TestCliSolve:
         ({"kind": "box", "lower": ["nan", 0.0], "upper": [1.0, 1.0]}, 1.0,
          "box bounds must not be NaN"),
         ({"kind": "point", "point": [5.0, 0.0]}, float("inf"), "weight must be finite"),
+        # squared norms that underflow to 0 or a subnormal, or overflow
+        ({"kind": "halfspace", "normal": [9.48e-288, 0.0], "offset": 0.0}, 1.0,
+         "halfspace normal has squared norm 0.0"),
+        ({"kind": "halfspace", "normal": [1e-160, 0.0], "offset": 0.0}, 1.0,
+         "halfspace normal has squared norm 1e-320"),
+        ({"kind": "halfspace", "normal": [1e200, 0.0], "offset": 0.0}, 1.0,
+         "halfspace normal has squared norm inf"),
     ])
     def test_non_finite_json_is_validation_error(self, tmp_path, capsys, shape, weight, message):
         doc = {

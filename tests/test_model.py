@@ -459,7 +459,9 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
     """The fixed-point map, the inner objective, the repulsion subgradient and
     bulk objective values, which all run on coordinate-major set batches,
     agree with references built from each set's scalar ``project``, whether
-    every family is a contiguous run or interleaved."""
+    every family is a contiguous run or interleaved.  Beside an empty
+    repulsion list the objective and the split are the attraction part, bit
+    for bit, and the repulsion subgradient is zero."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
 
@@ -503,6 +505,20 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
         for x in pts
     ])
     assert close(evaluate_objective_many(inst, pts), want_many)
+
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    alone = ProblemInstance(n, inst.attractions, [], free_space(n))
+    batch, weights = alone.attraction_batch, alone.attraction_weights
+    part_many = batch.distances_many(pts) @ weights
+    assert evaluate_objective_many(alone, pts).tobytes() == part_many.tobytes()
+    for x in pts:
+        part, quad = float(weights @ batch.distances(x)), 0.5 * lam * float(x @ x)
+        assert bits(evaluate_objective(alone, x)) == bits(part)
+        g, h = evaluate_split(alone, lam, x)
+        assert (bits(g), bits(h)) == (bits(quad + part), bits(quad))
+        assert _repulsion_subgradient(alone, x).tobytes() == np.zeros(n).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

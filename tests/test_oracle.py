@@ -68,7 +68,7 @@ class TestGridSearch:
 
     def test_budget_exceeded(self):
         inst = random_instance(np.random.default_rng(0), 3)
-        spec = GridSpec(np.full(3, -1.0), np.full(3, 1.0), 1000, budget=10**6)
+        spec = GridSpec(np.full(3, -1.0), np.full(3, 1.0), 1000)
         with pytest.raises(BudgetExceeded):
             grid_search(inst, spec)
 
