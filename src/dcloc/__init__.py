@@ -27,10 +27,12 @@ from .model import (
     validate_instance,
 )
 from .inner import (
+    AttractionSummary,
     InnerConfig,
     InnerProblem,
     InnerResult,
     NotInConstraint,
+    attraction_summary,
     dual_solve,
     phi,
     solve_inner,

@@ -57,12 +57,17 @@ def _finite(value, what: str):
     return value
 
 
+def _norm(d: np.ndarray) -> float:
+    """``np.linalg.norm(d)`` of a contiguous 1-d array, bit for bit, without
+    its call overhead: norm takes the same ``sqrt(d.dot(d))``."""
+    return math.sqrt(d.dot(d))
+
+
 def membership_tol(x: np.ndarray) -> float:
     """Scale-aware default tolerance for membership tests."""
-    # np.linalg.norm(x) without its call overhead: norm takes sqrt(x @ x) of
-    # x.ravel(order="K"), and a strided x would sum in another order
-    x = x.ravel(order="K")
-    return 1e-9 * (1.0 + math.sqrt(float(x @ x)))
+    # np.linalg.norm(x) takes the norm of x.ravel(order="K"), and a strided x
+    # would sum in another order
+    return 1e-9 * (1.0 + _norm(x.ravel(order="K")))
 
 
 def coordinate_norms(
@@ -88,6 +93,18 @@ def coordinate_norms(
             c *= c
         total = c if total is None else np.add(total, c, out=total)
     return np.sqrt(total, out=total)
+
+
+def _residuals(x: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The residuals ``x - proj[:, i]`` of a point ``x`` as the columns of an
+    (n, m) array, formed one coordinate at a time in ``proj`` itself unless
+    it is read-only (a singleton family's point parameter, which must not
+    change).  The broadcast ``x[:, None] - proj`` gives the same values but
+    allocates an (n, m) temporary besides its result."""
+    diff = proj if proj.flags.writeable else np.empty_like(proj)
+    for k in range(len(x)):
+        np.subtract(x[k], proj[k], out=diff[k])
+    return diff
 
 
 @dataclass(eq=False)
@@ -141,7 +158,7 @@ class ConvexSet:
 
     def distance(self, x) -> float:
         x = self._check_dim(x)
-        return float(np.linalg.norm(x - self.project(x)))
+        return _norm(x - self.project(x))
 
     def contains(self, x, tol: float | None = None) -> bool:
         x = self._check_dim(x)
@@ -256,7 +273,7 @@ class Ball(ConvexSet):
     def project(self, x) -> np.ndarray:
         x = self._check_dim(x)
         d = x - self.center
-        nd = np.linalg.norm(d)
+        nd = _norm(d)
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d

@@ -16,6 +16,15 @@ problem, built from the same projections, which also stops on a certified
 primal-dual gap.  ``subgradient_solve``, a projected subgradient method with
 diminishing 1/l steps, remains as a standalone function; it has no stopping
 test and no certificate, and no route calls it.
+
+A pass of the attraction batch at a point projects it onto every set, an
+(n, m) array for m sets in dimension n.  Only an O(n) ``AttractionSummary``
+of a pass is kept beyond it: the weighted distance sum and the part of the
+fixed-point map that does not depend on the linear term.  The certificate's
+pass at the returned point builds one (``InnerResult.summary``), and a solve
+handed the summary of its start (``solve_inner(..., summary=)``) builds its
+first map and its fallback test from it, so the outer iteration passes the
+batch once per point it visits.
 """
 
 from __future__ import annotations
@@ -24,17 +33,20 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ConvexSet, _finite, coordinate_norms, membership_tol
+from .geometry import ConvexSet, _finite, _norm, _residuals, coordinate_norms, membership_tol
 from .model import ProblemInstance, SetBatch, WeightedSet, _batch_of, _weights_of
 
 __all__ = [
     "InnerProblem",
     "InnerConfig",
     "InnerResult",
+    "AttractionSummary",
     "NotInConstraint",
+    "attraction_summary",
     "phi",
     "weiszfeld_map",
     "weiszfeld_solve",
@@ -56,7 +68,13 @@ class InnerProblem:
     constraint: ConvexSet
 
     def __post_init__(self):
-        self.v = _finite(np.asarray(self.v, dtype=float), "linear term")
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (self.constraint.dim,):
+            raise ValueError(
+                f"linear term must be a 1-d vector of the constraint's dimension "
+                f"{self.constraint.dim}, got shape {v.shape}"
+            )
+        self.v = _finite(v, "linear term")
         self.lam = float(self.lam)
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"quadratic coefficient must be finite and positive, got {self.lam}")
@@ -114,6 +132,52 @@ class InnerResult:
     # an upper bound on value minus the minimum, from a dual point: set by the
     # fixed-point and dual routes, None for the subgradient route
     gap: float | None = None
+    # the attraction summary at x, from the fixed-point route's certificate;
+    # None for the dual and subgradient routes
+    summary: AttractionSummary | None = None
+
+
+class AttractionSummary(NamedTuple):
+    """What a pass of the attraction batch at a point x leaves for later
+    use, O(n) in size.
+
+    ``distance_sum`` is sum_i w_i d_i(x), the distance part of ``phi`` and
+    of the objective.  ``pull`` and ``pull_weight`` are sum_i (w_i / d_i(x))
+    P_i(x) and sum_i w_i / d_i(x), the part of the fixed-point map at x that
+    does not depend on the linear term; both are None when x is on a set,
+    where the map is undefined.  Each value is formed as ``weiszfeld_map``
+    and ``phi`` form it, so whatever is built from a summary is what those
+    give at x, bit for bit.
+    """
+
+    distance_sum: float
+    pull: np.ndarray | None
+    pull_weight: float | None
+
+
+def attraction_summary(batch: SetBatch, weights: np.ndarray, x: np.ndarray) -> AttractionSummary:
+    """The summary of one pass of the attraction ``batch`` at ``x``."""
+    proj = batch.projections(x)
+    dists = coordinate_norms(x[:, None], proj)
+    distance_sum = float(weights @ dists)
+    if _on_a_set(dists, x):
+        return AttractionSummary(distance_sum, None, None)
+    inv = weights / dists
+    return AttractionSummary(distance_sum, proj @ inv, float(inv.sum()))
+
+
+def _on_a_set(dists: np.ndarray, x: np.ndarray) -> bool:
+    """Whether a point ``x`` at ``dists`` from the sets is (numerically) on one."""
+    return dists.size > 0 and dists.min() <= membership_tol(x)
+
+
+def _map_point(prob: InnerProblem, summary: AttractionSummary) -> np.ndarray | None:
+    """The fixed-point map at the point that ``summary`` summarizes."""
+    if not prob.attractions:  # (0 + v) / (0 + lam) would turn -0.0 into 0.0
+        return prob.v / prob.lam
+    if summary.pull is None:
+        return None
+    return (summary.pull + prob.v) / (summary.pull_weight + prob.lam)
 
 
 def phi(prob: InnerProblem, x) -> float:
@@ -121,13 +185,17 @@ def phi(prob: InnerProblem, x) -> float:
     return _phi_terms(prob, np.asarray(x, dtype=float))[0]
 
 
+def _quadratic(prob: InnerProblem, x: np.ndarray) -> float:
+    """The quadratic and linear part lam/2 |x|^2 - v.x of ``phi``."""
+    return 0.5 * prob.lam * float(x @ x) - float(prob.v @ x)
+
+
 def _phi_terms(prob: InnerProblem, x: np.ndarray):
     """``phi(prob, x)`` together with the residuals ``x - P_i(x)`` onto the
     attraction sets, as the columns of an (n, m) array, and their norms."""
-    val = 0.5 * prob.lam * float(x @ x) - float(prob.v @ x)
-    diff = x[:, None] - prob.batch.projections(x)
+    diff = _residuals(x, prob.batch.projections(x))
     dists = coordinate_norms(diff)
-    return val + float(prob.weights @ dists), diff, dists
+    return _quadratic(prob, x) + float(prob.weights @ dists), diff, dists
 
 
 def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray | None:
@@ -138,16 +206,7 @@ def weiszfeld_map(prob: InnerProblem, x) -> np.ndarray | None:
     one.
     """
     x = np.asarray(x, dtype=float)
-    if not prob.attractions:
-        return prob.v / prob.lam
-    proj = prob.batch.projections(x)
-    dists = coordinate_norms(x[:, None], proj)
-    if dists.min() <= membership_tol(x):
-        return None
-    inv = prob.weights / dists
-    numer = proj @ inv + prob.v
-    denom = float(inv.sum()) + prob.lam
-    return numer / denom
+    return _map_point(prob, attraction_summary(prob.batch, prob.weights, x))
 
 
 def _require_feasible(prob: InnerProblem, x0) -> np.ndarray:
@@ -157,7 +216,13 @@ def _require_feasible(prob: InnerProblem, x0) -> np.ndarray:
     return x0
 
 
-def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
+def weiszfeld_solve(
+    prob: InnerProblem,
+    x0,
+    cfg: InnerConfig | None = None,
+    *,
+    summary: AttractionSummary | None = None,
+) -> InnerResult:
     """Iterate the fixed-point map with a safeguarded secant step, projecting
     onto the constraint, and certify the result by its primal-dual gap.
 
@@ -184,18 +249,22 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
     on a set (d_i at most ``membership_tol(x)``, where the residual is
     rounding noise), form a dual point (see ``dual_solve``), so the gap costs
     one constraint projection.  ``converged`` is True only when that gap is at
-    most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set.
+    most ``GAP_TOL * (1 + |value|)``; ``gap`` is always set, and so is
+    ``summary``, from the same pass of the attraction batch.
+
+    ``summary``, optional, is the ``AttractionSummary`` of ``x0``; the first
+    map is then built from it, with no pass of the batch.
     """
     cfg = cfg or InnerConfig()
     project = prob.constraint.project
     x = _require_feasible(prob, x0)
     maps = 1
-    t = weiszfeld_map(prob, x)
+    t = weiszfeld_map(prob, x) if summary is None else _map_point(prob, summary)
     if t is None:
         return _fixed_point_result(prob, project(x), maps)
     t = project(t)
     g = t - x
-    res = float(np.linalg.norm(g))
+    res = _norm(g)
     prev = None  # the kept iterate before x and its residual
     while res > cfg.step_tol and maps < cfg.max_iters:
         y = t if prev is None else project(_secant_point(x, t, g, prev))
@@ -211,7 +280,7 @@ def weiszfeld_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> I
             continue
         t_y = project(t_y)
         g_y = t_y - y
-        res_y = float(np.linalg.norm(g_y))
+        res_y = _norm(g_y)
         if prev is None or res_y < res:
             prev = (x, g)
             x, t, g, res = y, t_y, g_y, res_y
@@ -234,18 +303,28 @@ def _secant_point(x: np.ndarray, t: np.ndarray, g: np.ndarray, prev) -> np.ndarr
 
 def _fixed_point_result(prob: InnerProblem, x: np.ndarray, maps: int) -> InnerResult:
     """The fixed-point route's result at ``x``, judged by its gap against the
-    unit-residual dual point."""
-    value, diff, dists = _phi_terms(prob, x)
+    unit-residual dual point, with the attraction summary of ``x`` from the
+    same pass."""
+    proj = prob.batch.projections(x)
+    dists = coordinate_norms(x[:, None], proj)
+    distance_sum = float(prob.weights @ dists)
+    value = _quadratic(prob, x) + distance_sum
     # u_i = (x - P_i x) / d_i, and u_i = 0 on a set: there the residual is
     # rounding noise, and a unit u_i built from it could certify a point that
-    # is not the minimizer; u is never built
-    off = dists > membership_tol(x)
-    inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=off)
-    z = prob.v - diff @ inv
-    # u_i.(x - P_i x) = d_i off the sets, so only the sets' own d_i are left
-    # of the Fenchel-Young terms
-    np.putmask(dists, off, 0.0)
-    gap = _gap(prob, x, dists, z, prob.constraint.project(z / prob.lam))
+    # is not the minimizer; u is never built.  u_i.(x - P_i x) = d_i off the
+    # sets, so only the sets' own d_i are left of the Fenchel-Young terms.
+    if _on_a_set(dists, x):
+        off = dists > membership_tol(x)
+        inv = np.divide(prob.weights, dists, out=np.zeros_like(dists), where=off)
+        np.putmask(dists, off, 0.0)
+        slack = float(prob.weights @ dists)
+        summary = AttractionSummary(distance_sum, None, None)
+    else:  # off every set: the summary's map weights are the dual point's
+        inv = prob.weights / dists
+        slack = 0.0
+        summary = AttractionSummary(distance_sum, proj @ inv, float(inv.sum()))
+    z = prob.v - _residuals(x, proj) @ inv  # proj is spent from here
+    gap = _gap(prob, x, slack, z, prob.constraint.project(z / prob.lam))
     return InnerResult(
         x=x,
         value=value,
@@ -253,6 +332,7 @@ def _fixed_point_result(prob: InnerProblem, x: np.ndarray, maps: int) -> InnerRe
         converged=gap <= GAP_TOL * (1.0 + abs(value)),
         method_used="weiszfeld",
         gap=gap,
+        summary=summary,
     )
 
 
@@ -296,19 +376,19 @@ def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, prob.constraint.project(z / prob.lam)
 
 
-def _gap(prob: InnerProblem, x, slack, z, x_u) -> float:
+def _gap(prob: InnerProblem, x, slack: float, z, x_u) -> float:
     """Gap between ``phi(prob, x)`` and the dual value at u, summed from terms
     that are each nonnegative in exact arithmetic.
 
-    ``slack`` holds the Fenchel-Young terms d_i(x) - u_i.x + s_i(u_i), one
-    per set, and ``x_u`` is x(u) = P_C(z / lam).  The gap is
-    sum_i w_i slack_i plus q(x) - q(x(u)) for q(y) = lam/2 |y|^2 - z.y, factored as
+    ``slack`` is sum_i w_i (d_i(x) - u_i.x + s_i(u_i)), the weighted sum of
+    the Fenchel-Young terms, and ``x_u`` is x(u) = P_C(z / lam).  The gap is
+    ``slack`` plus q(x) - q(x(u)) for q(y) = lam/2 |y|^2 - z.y, factored as
     lam/2 (x - x(u)).(x + x(u) - 2 z / lam) so that neither value of q is
     formed: the gap is not the difference of two rounded values of the size
     of ``phi``.
     """
     quad = 0.5 * prob.lam * float((x - x_u) @ (x + x_u - (2.0 / prob.lam) * z))
-    return float(prob.weights @ slack) + quad
+    return slack + quad
 
 
 def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
@@ -363,7 +443,7 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
         if value < best_val:
             best_val, best_x = value, x
         u_res = np.einsum("ij,ij->j", u_next, x[:, None] - proj)
-        gap = min(gap, _gap(prob, x, dists - u_res, z, x))
+        gap = min(gap, _gap(prob, x, float(w @ (dists - u_res)), z, x))
         if gap <= GAP_TOL * (1.0 + abs(best_val)):
             converged = True
             break
@@ -375,7 +455,13 @@ def dual_solve(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerR
     return InnerResult(best_x, best_val, iterations, converged, "dual", gap=float(gap))
 
 
-def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> InnerResult:
+def solve_inner(
+    prob: InnerProblem,
+    x0,
+    cfg: InnerConfig | None = None,
+    *,
+    summary: AttractionSummary | None = None,
+) -> InnerResult:
     """The fixed-point solve, or the dual solve where its gap refuses it.
 
     The fixed-point result (see ``weiszfeld_solve``) is returned when its gap
@@ -385,9 +471,18 @@ def solve_inner(prob: InnerProblem, x0, cfg: InnerConfig | None = None) -> Inner
     ``gap`` set).  Extrapolated iterates need not decrease the objective, so
     the dual solve starts from whichever of ``x0`` and the fixed-point point
     has the lower objective, and never returns a worse point than that.
+
+    ``summary``, optional, is the ``AttractionSummary`` of ``x0``; the first
+    map and the objective at ``x0`` are then built from it, with no pass of
+    the attraction batch.
     """
-    result = weiszfeld_solve(prob, x0, cfg)
+    x0 = np.asarray(x0, dtype=float)
+    result = weiszfeld_solve(prob, x0, cfg, summary=summary)
     if result.converged:
         return result
-    start = result.x if result.value <= phi(prob, x0) else x0
+    if summary is None:
+        x0_value = phi(prob, x0)
+    else:
+        x0_value = _quadratic(prob, x0) + summary.distance_sum
+    start = result.x if result.value <= x0_value else x0
     return dual_solve(prob, start, cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dcloc import (
 )
 from dcloc import dca, model
 from dcloc.instance_io import load_instance, load_points_csv
-from conftest import random_instance
+from conftest import random_instance, random_set
 
 INF = np.inf
 
@@ -152,21 +153,21 @@ def plain_dca(inst, x0, cfg):
 class TestSecantStep:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """The points ``dca_solve`` hands to the inner solver and to the
-        objective, in call order."""
+        """The points ``dca_solve`` hands to the inner solver and the points
+        whose objective it takes from their batch passes, in call order."""
         solved, evaluated = [], []
-        solve_inner, evaluate_objective = dca.solve_inner, dca.evaluate_objective
+        solve_inner, summarize = dca.solve_inner, dca._summarize
 
-        def counting_solve(prob, x, cfg):
+        def counting_solve(prob, x, cfg, **kwargs):
             solved.append(np.array(x))
-            return solve_inner(prob, x, cfg)
+            return solve_inner(prob, x, cfg, **kwargs)
 
-        def counting_evaluate(inst, x):
+        def counting_summarize(inst, x, *args):
             evaluated.append(np.array(x))
-            return evaluate_objective(inst, x)
+            return summarize(inst, x, *args)
 
         monkeypatch.setattr(dca, "solve_inner", counting_solve)
-        monkeypatch.setattr(dca, "evaluate_objective", counting_evaluate)
+        monkeypatch.setattr(dca, "_summarize", counting_summarize)
         return solved, evaluated
 
     @pytest.mark.parametrize("shape", ["point", "square"])
@@ -320,3 +321,132 @@ class TestMultiStart:
         report = multi_start_solve(inst, n_starts=3, seed=0)
         assert report.outer_iterations > 1
         assert sorted(builds) == [120, 1097]
+
+
+def summary_cases(fixtures_dir):
+    """(instance, start) pairs: random instances of each shape family, the
+    line fixture, whose solve takes the dual route, and both CSV footprints."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for kind in ("point", "ball", "box", "halfspace"):
+        for _ in range(6):
+            n = int(rng.integers(1, 4))
+            attractions = [
+                WeightedSet(random_set(rng, n, kind=kind), float(rng.uniform(0.5, 2.0)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            repulsions = [
+                WeightedSet(random_set(rng, n, kind=kind), float(rng.uniform(0.1, 1.0)))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            inst = ProblemInstance(n, attractions, repulsions, Ball(np.zeros(n), 3.0))
+            cases.append((inst, inst.constraint.project(rng.normal(scale=2.0, size=n))))
+    cases.append((load_instance(fixtures_dir / "line_between_halfplanes.json"), [3.0, 0.5]))
+    for shape in ("point", "square"):
+        cases.append((group_instance(fixtures_dir, shape), GROUP_START))
+    return cases
+
+
+class TestHandedOverSummaries:
+    """Every value that ``dca_solve`` builds from a handed-over summary equals,
+    bit for bit, the value computed afresh at its point."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_values_equal_fresh_evaluations(self, fixtures_dir, record):
+        cfg = DcaConfig(record_trajectory=record)
+        routes = set()
+        for inst, x0 in summary_cases(fixtures_dir):
+            report = dca_solve(inst, x0, cfg)
+            routes.update(report.inner_methods_used)
+            assert report.final_value == evaluate_objective(inst, report.final_x)
+            assert report.criticality_residual == criticality_residual(
+                inst, cfg.lam, report.final_x, cfg.inner
+            )
+            rows = report.trajectory or []
+            for prev, row in zip([None] + rows, rows):
+                assert row.f_value == evaluate_objective(inst, row.x)
+                if prev is not None:  # the linearization from a fresh pass
+                    y_prev, _ = dca_step(inst, cfg.lam, prev.x, cfg.inner)
+                    assert row.y.tobytes() == y_prev.tobytes()
+        assert routes == {"weiszfeld", "dual"}
+
+    def test_objective_never_evaluated_apart(self, fixtures_dir, monkeypatch):
+        def refuse(inst, x):
+            raise AssertionError("evaluate_objective called")
+
+        monkeypatch.setattr(dca, "evaluate_objective", refuse)
+        cfg = DcaConfig(record_trajectory=True)
+        dca_solve(group_instance(fixtures_dir, "square"), GROUP_START, cfg)
+
+    def test_attraction_passes_one_per_map_after_the_first(self, fixtures_dir, monkeypatch):
+        # a solve handed its start's summary passes the attraction batch once
+        # per map after its first and once for its certificate, whose summary
+        # the next solve takes over; besides these only new points (the
+        # start and the tried candidates) are passed
+        inst = group_instance(fixtures_dir, "square")
+        passes, fresh, results = [], [], []
+        projections, solve_inner, summarize = (
+            model.SetBatch.projections, dca.solve_inner, dca._summarize
+        )
+
+        def counting_projections(batch, x):
+            if batch is inst.attraction_batch:
+                passes.append(x)
+            return projections(batch, x)
+
+        def recording_solve(prob, x, cfg, *, summary):
+            results.append(solve_inner(prob, x, cfg, summary=summary))
+            return results[-1]
+
+        def counting_summarize(inst_, x, attraction=None):
+            if attraction is None:
+                fresh.append(x)
+            return summarize(inst_, x, attraction)
+
+        monkeypatch.setattr(model.SetBatch, "projections", counting_projections)
+        monkeypatch.setattr(dca, "solve_inner", recording_solve)
+        monkeypatch.setattr(dca, "_summarize", counting_summarize)
+        report = dca_solve(inst, GROUP_START)
+        assert len(results) == report.outer_iterations + 1
+        assert {r.method_used for r in results} == {"weiszfeld"}
+        assert len(passes) == sum(r.iterations for r in results) + len(fresh)
+        assert len(fresh) < len(results)
+
+
+class TestBadStarts:
+    @pytest.mark.parametrize("x0, message", [
+        ([float("nan"), 0.0], "x0 must be finite"),
+        ([float("inf"), 0.0], "x0 must be finite"),
+        ([1.0, 0.0, 0.0], "x0 must be a vector of the instance's dimension 2"),
+        ([[1.0, 0.0]], "x0 must be a vector of the instance's dimension 2"),
+    ])
+    def test_dca_solve_names_x0(self, x0, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message) as raised:
+                dca_solve(line_instance(), x0)
+        assert not isinstance(raised.value, NotInConstraint)
+
+    def test_infeasible_start_still_not_in_constraint(self):
+        with pytest.raises(NotInConstraint):
+            dca_solve(line_instance(), [30.0, 0.0])
+
+    @pytest.mark.parametrize("box, message", [
+        (([float("nan"), -1.0], [1.0, 1.0]), "sample_box lower bound must be finite"),
+        (([-1.0, -1.0], [1.0, float("inf")]), "sample_box upper bound must be finite"),
+        (([-1.0, 2.0], [1.0, 1.0]), "sample_box lower bound .* exceeds upper bound"),
+        (([-1.0], [1.0]), "sample_box lower bound must be a vector of the instance's dimension 2"),
+        (([-1.0, -1.0], [1.0, 1.0, 1.0]), "sample_box upper bound must be a vector"),
+        (([-1e308, -1.0], [1e308, 1.0]), "sample_box width must be finite"),
+    ])
+    def test_multi_start_names_sample_box(self, box, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                multi_start_solve(line_instance(), n_starts=2, seed=0, sample_box=box)
+
+    def test_degenerate_sample_box_accepted(self):
+        report = multi_start_solve(
+            line_instance(), n_starts=2, seed=0, sample_box=([3.0, 0.5], [3.0, 0.5])
+        )
+        assert report.final_value == dca_solve(line_instance(), [3.0, 0.5]).final_value

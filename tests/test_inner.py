@@ -21,7 +21,7 @@ from dcloc import (
     weiszfeld_solve,
 )
 from dcloc import inner
-from dcloc.dca import _repulsion_subgradient
+from dcloc.dca import _repulsion_pass
 from dcloc.inner import GAP_TOL
 from dcloc.instance_io import load_instance
 from conftest import random_instance, random_set
@@ -198,7 +198,7 @@ class TestSolveInner:
         # halfplane: its minimizer (-3.14, 0) lies on the attraction line
         inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
         x0 = np.array([-3.14, -0.995])
-        return InnerProblem.for_instance(inst, _repulsion_subgradient(inst, x0) + x0, 1.0), x0
+        return InnerProblem.for_instance(inst, _repulsion_pass(inst, x0)[1] + x0, 1.0), x0
 
     def test_auto_hands_over_when_budget_runs_out(self, fixtures_dir):
         # five maps leave the fixed-point iteration short of the line y = 0
@@ -254,7 +254,7 @@ class TestSolveInner:
         # gap refuses it, so the dual route takes over
         inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
         x0 = np.array([3.0, 0.5])
-        prob = InnerProblem.for_instance(inst, _repulsion_subgradient(inst, x0) + x0, 1.0)
+        prob = InnerProblem.for_instance(inst, _repulsion_pass(inst, x0)[1] + x0, 1.0)
         maps = []
         monkeypatch.setattr(
             inner, "weiszfeld_map", lambda p, x: maps.append(x) or weiszfeld_map(p, x)
@@ -271,7 +271,7 @@ class TestSolveInner:
         # start is the minimizer with the zero dual point on the line
         inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
         x0 = np.array([3.0, 0.0])
-        prob = InnerProblem.for_instance(inst, _repulsion_subgradient(inst, x0) + x0, 1.0)
+        prob = InnerProblem.for_instance(inst, _repulsion_pass(inst, x0)[1] + x0, 1.0)
         reference = dual_solve(prob, x0)
         dual_calls = []
         monkeypatch.setattr(
@@ -297,6 +297,69 @@ class TestSolveInner:
     def test_non_finite_input_rejected(self, v, lam, message):
         with pytest.raises(ValueError, match=message):
             InnerProblem(v=v, lam=lam, attractions=[], constraint=AxisBox([-INF], [INF]))
+
+    @pytest.mark.parametrize("v", [[[1.0, 2.0]], 1.0, [1.0, 2.0, 3.0], []])
+    def test_linear_term_of_wrong_shape_rejected(self, v):
+        with pytest.raises(ValueError, match="linear term must be a 1-d vector of the "
+                                             "constraint's dimension 2"):
+            InnerProblem(v=v, lam=1.0, attractions=[], constraint=free2())
+
+
+def summary_problems(fixtures_dir):
+    """(problem, start) pairs: random problems of each shape family, and the
+    line fixture's at a start on its line and at one that the dual route
+    solves."""
+    rng = np.random.default_rng(2027)
+    cases = []
+    for kind in ("point", "ball", "box", "halfspace"):
+        for _ in range(8):
+            n = int(rng.integers(1, 4))
+            attractions = [
+                WeightedSet(random_set(rng, n, kind=kind), float(rng.uniform(0.5, 2.0)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            constraint = Ball(np.zeros(n), 3.0)
+            prob = InnerProblem(rng.normal(size=n), float(rng.uniform(0.2, 3.0)), attractions,
+                                constraint)
+            cases.append((prob, constraint.project(rng.normal(scale=2.0, size=n))))
+    inst = load_instance(fixtures_dir / "line_between_halfplanes.json")
+    for x0 in ([3.0, 0.0], [3.0, 0.5]):  # solved on the line, and by the dual route
+        x0 = np.array(x0)
+        prob = InnerProblem.for_instance(inst, _repulsion_pass(inst, x0)[1] + x0, 1.0)
+        cases.append((prob, x0))
+    return cases
+
+
+class TestAttractionSummary:
+    def test_handed_over_map_equals_fresh_map(self, fixtures_dir):
+        # the certificate's summary of the returned point builds the map
+        # there, bit for bit, and None on a set
+        on_a_set = 0
+        for prob, x0 in summary_problems(fixtures_dir):
+            result = weiszfeld_solve(prob, x0)
+            handed = inner._map_point(prob, result.summary)
+            fresh = weiszfeld_map(prob, result.x)
+            if fresh is None:
+                on_a_set += 1
+                assert handed is None
+            else:
+                assert handed.tobytes() == fresh.tobytes()
+            assert result.summary.distance_sum + inner._quadratic(prob, result.x) == phi(
+                prob, result.x
+            )
+        assert on_a_set >= 1
+
+    def test_handed_over_start_gives_the_same_solve(self, fixtures_dir):
+        routes = set()
+        for prob, x0 in summary_problems(fixtures_dir):
+            summary = inner.attraction_summary(prob.batch, prob.weights, x0)
+            handed, fresh = solve_inner(prob, x0, summary=summary), solve_inner(prob, x0)
+            assert handed.x.tobytes() == fresh.x.tobytes()
+            assert (handed.value, handed.gap, handed.iterations, handed.method_used) == (
+                fresh.value, fresh.gap, fresh.iterations, fresh.method_used
+            )
+            routes.add(handed.method_used)
+        assert routes == {"weiszfeld", "dual"}
 
 
 class TestInnerConfig:

@@ -21,7 +21,7 @@ from dcloc import (
     validate_instance,
 )
 from dcloc import model
-from dcloc.dca import _repulsion_subgradient
+from dcloc.dca import _repulsion_pass
 from dcloc.geometry import coordinate_norms, membership_tol
 from dcloc.inner import InnerProblem, phi, weiszfeld_map
 from dcloc.instance_io import load_points_csv
@@ -498,7 +498,11 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
         want = sum(
             (w.weight / d) * r for w, r, d in zip(inst.repulsions, diff, dists) if d > tol
         )
-        assert close(_repulsion_subgradient(inst, x), want + np.zeros(n))
+        repulsion_sum, subgradient = _repulsion_pass(inst, x)
+        assert close(subgradient, want + np.zeros(n))
+        # the pass's distance sum is the repulsion part of evaluate_objective
+        rep_part = float(inst.repulsion_weights @ inst.repulsion_batch.distances(x))
+        assert np.float64(repulsion_sum).tobytes() == np.float64(rep_part).tobytes()
     want_many = np.array([
         sum(w.weight * w.set.distance(x) for w in inst.attractions)
         - sum(w.weight * w.set.distance(x) for w in inst.repulsions)
@@ -518,7 +522,7 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
         assert bits(evaluate_objective(alone, x)) == bits(part)
         g, h = evaluate_split(alone, lam, x)
         assert (bits(g), bits(h)) == (bits(quad + part), bits(quad))
-        assert _repulsion_subgradient(alone, x).tobytes() == np.zeros(n).tobytes()
+        assert _repulsion_pass(alone, x)[1].tobytes() == np.zeros(n).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
