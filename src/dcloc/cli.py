@@ -87,6 +87,11 @@ def _load_solve_instance(args) -> ProblemInstance:
     return require_valid(ProblemInstance(dim, attractions, repulsions, constraint))
 
 
+def _require_nonnegative(option: str, value: int) -> None:
+    if value < 0:
+        raise instance_io.ValidationError(f"{option} must be non-negative, got {value}")
+
+
 def _write_trajectory(path: str, trajectory, dim: int) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -100,6 +105,7 @@ def _write_trajectory(path: str, trajectory, dim: int) -> None:
 def _cmd_solve(args) -> int:
     if args.starts < 1:
         raise instance_io.ValidationError(f"--starts must be at least 1, got {args.starts}")
+    _require_nonnegative("--seed", args.seed)
     inst = _load_solve_instance(args)
     # the loaders have checked the structure; only the constraint meetings remain
     warnings = _constraint_meetings(inst)
@@ -212,6 +218,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     """Write two CSV point groups mimicking a mainland/offshore split."""
+    for option, value in (("--seed", args.seed), ("--group-a", args.group_a),
+                          ("--group-b", args.group_b)):
+        _require_nonnegative(option, value)
     rng = np.random.Generator(np.random.Philox(args.seed))
     group_a = np.column_stack(
         [rng.uniform(25.0, 49.0, args.group_a), rng.uniform(-124.0, -67.0, args.group_a)]

@@ -20,6 +20,15 @@ point's inner solve and that solve's fallback test.  An inner solve's
 certificate passes the attraction batch at the image it returns, so the
 image's summary comes with it, and the criticality residual at the final
 point reuses that point's summaries too.
+
+The criticality residual costs one more inner solve, and a solve keeps it only
+for the point it returns.  ``multi_start_solve`` therefore runs each start
+without it, keeps the best start's report and the summaries of its final
+point, and computes the residual once, for that start alone: the same
+computation at the same point as ``dca_solve`` makes, so the same value.
+Points that the iteration builds itself are projected onto the constraint by
+its family's formula (``ConvexSet._project``), without the public method's
+dimension check.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from .inner import (
     InnerProblem,
     InnerResult,
     NotInConstraint,
+    _on_a_set,
+    _require_integer,
     _require_tolerance,
     _secant_point,
     attraction_summary,
@@ -69,7 +80,7 @@ class DcaConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be finite and positive, got {self.lam}")
-        if self.max_outer < 1:
+        if _require_integer("max_outer", self.max_outer) < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
         _require_tolerance("outer_step_tol", self.outer_step_tol)
 
@@ -107,10 +118,12 @@ def _repulsion_pass(inst: ProblemInstance, x: np.ndarray) -> tuple[float, np.nda
     """
     diff = _residuals(x, inst.repulsion_batch.projections(x))
     dists = coordinate_norms(diff)
-    scale = np.divide(
-        inst.repulsion_weights, dists, out=np.zeros_like(dists), where=dists > membership_tol(x)
-    )
-    return float(inst.repulsion_weights @ dists), diff @ scale
+    weights = inst.repulsion_weights
+    if _on_a_set(dists, x):
+        scale = np.divide(weights, dists, out=np.zeros_like(dists), where=dists > membership_tol(x))
+    else:
+        scale = weights / dists
+    return float(weights @ dists), diff @ scale
 
 
 class _PointSummary(NamedTuple):
@@ -218,6 +231,12 @@ def dca_solve(inst: ProblemInstance, x0, cfg: DcaConfig | None = None) -> SolveR
     ValueError) in the constraint set (else ``NotInConstraint``).
     """
     cfg = cfg or DcaConfig()
+    return _with_residual(inst, cfg, *_iterate(inst, x0, cfg))
+
+
+def _iterate(inst: ProblemInstance, x0, cfg: DcaConfig) -> tuple[SolveReport, _PointSummary]:
+    """``dca_solve``'s iteration from ``x0``: its report, whose criticality
+    residual is left NaN, and the summaries of its final point."""
     lam = cfg.lam
     x = _start_point(inst, x0)
     methods: list[str] = []
@@ -255,7 +274,7 @@ def dca_solve(inst: ProblemInstance, x0, cfg: DcaConfig | None = None) -> SolveR
         t = image_x.x
         cand = t if prev is None else _secant_point(x, t, g, prev)
         if cand is not t:  # an extrapolation to try, not the plain step
-            cand = inst.constraint.project(cand)
+            cand = inst.constraint._project(cand)
             at_cand = _summarize(inst, cand)
             f_cand = at_cand.value
             step = _norm(cand - x)
@@ -285,10 +304,21 @@ def dca_solve(inst: ProblemInstance, x0, cfg: DcaConfig | None = None) -> SolveR
         final_value=final_value,
         outer_iterations=solves,
         termination="step_tol" if res <= cfg.outer_step_tol else "max_outer",
-        criticality_residual=criticality_residual(inst, lam, t, cfg.inner, summary=at_t),
+        criticality_residual=math.nan,
         trajectory=trajectory,
         inner_methods_used=methods,
+    ), at_t
+
+
+def _with_residual(
+    inst: ProblemInstance, cfg: DcaConfig, report: SolveReport, at_final: _PointSummary
+) -> SolveReport:
+    """``report`` with its criticality residual, from the summaries
+    ``at_final`` of its final point."""
+    report.criticality_residual = criticality_residual(
+        inst, cfg.lam, report.final_x, cfg.inner, summary=at_final
     )
+    return report
 
 
 def criticality_residual(
@@ -325,15 +355,24 @@ def multi_start_solve(
     box of the constraint set, which must then be bounded) and projected onto
     the constraint.  A ``sample_box`` is a pair (lower, upper) of finite
     vectors of the instance's dimension with lower <= upper and a finite
-    width; anything else raises ValueError.  The outer iteration only
-    guarantees a critical point, so restarts are the practical guard against
-    poor local behavior.  The merge
+    width; anything else raises ValueError, and so do an ``n_starts`` that is
+    not an integer of at least 1 and a ``seed`` that is not a non-negative
+    integer.  The outer iteration only guarantees a critical point, so
+    restarts are the practical guard against poor local behavior.  The merge
     is deterministic: best objective value, ties broken by lexicographically
     smallest final iterate.
+
+    Each start runs ``dca_solve``'s iteration without the criticality
+    residual; the best start's report and the summaries of its final point
+    are kept, and the residual is computed once, for that start, from them.
+    So the returned report equals, field by field, ``dca_solve``'s from the
+    best start, at one inner solve beyond the starts' ``outer_iterations``.
     """
     cfg = cfg or DcaConfig()
-    if n_starts < 1:
+    if _require_integer("n_starts", n_starts) < 1:
         raise ValueError(f"need at least one start, got n_starts={n_starts}")
+    if _require_integer("seed", seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if sample_box is None:
         radius = inst.constraint.bounding_radius()
         if radius is None:
@@ -345,13 +384,12 @@ def multi_start_solve(
     else:
         lo, hi = _sample_box(inst, sample_box)
     rng = np.random.Generator(np.random.Philox(seed))
-    best: SolveReport | None = None
+    best = None  # the best start's report and the summaries of its final point
     for _ in range(n_starts):
-        x0 = inst.constraint.project(rng.uniform(lo, hi))
-        report = dca_solve(inst, x0, cfg)
-        if best is None or _report_better(report, best):
-            best = report
-    return best
+        run = _iterate(inst, inst.constraint.project(rng.uniform(lo, hi)), cfg)
+        if best is None or _report_better(run[0], best[0]):
+            best = run
+    return _with_residual(inst, cfg, *best)
 
 
 def _sample_box(inst: ProblemInstance, sample_box) -> tuple[np.ndarray, np.ndarray]:

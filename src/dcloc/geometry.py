@@ -6,6 +6,12 @@ closed-form Euclidean projection, which makes membership tests, distance
 evaluation, distance subgradients and normal-cone membership cheap and exact
 (up to floating point).  General polytopes are deliberately not supported:
 their projection would need an inner QP.
+
+A family's public ``project`` is a dimension check of its input followed by
+one private formula, ``_project``, which takes a float vector of the set's
+dimension as it is.  ``contains`` and ``distance`` check once and then use
+the formula too.  The solver calls ``_project`` directly on the arrays it
+builds itself, which need no check.
 """
 
 from __future__ import annotations
@@ -66,8 +72,10 @@ def _norm(d: np.ndarray) -> float:
 def membership_tol(x: np.ndarray) -> float:
     """Scale-aware default tolerance for membership tests."""
     # np.linalg.norm(x) takes the norm of x.ravel(order="K"), and a strided x
-    # would sum in another order
-    return 1e-9 * (1.0 + _norm(x.ravel(order="K")))
+    # would sum in another order; a contiguous vector is its own ravel
+    if x.ndim != 1 or not x.flags.c_contiguous:
+        x = x.ravel(order="K")
+    return 1e-9 * (1.0 + _norm(x))
 
 
 def coordinate_norms(
@@ -128,6 +136,12 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection of ``x`` onto the set."""
+        return self._project(self._check_dim(x))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """``project`` of a float vector ``x`` of the set's dimension, taken as
+        it is: the caller vouches for its type and shape.  The result is a
+        new array."""
         raise NotImplementedError
 
     @staticmethod
@@ -158,13 +172,13 @@ class ConvexSet:
 
     def distance(self, x) -> float:
         x = self._check_dim(x)
-        return _norm(x - self.project(x))
+        return _norm(x - self._project(x))
 
     def contains(self, x, tol: float | None = None) -> bool:
         x = self._check_dim(x)
         if tol is None:
             tol = membership_tol(x)
-        return self.distance(x) <= tol
+        return _norm(x - self._project(x)) <= tol
 
     def support(self, direction) -> float:
         """Support value sup{<direction, q> : q in set}; may be +inf."""
@@ -221,16 +235,16 @@ class Singleton(ConvexSet):
     def dim(self) -> int:
         return self.point.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        self._check_dim(x)
+    def _project(self, x):
         return self.point.copy()
 
     @staticmethod
     def _project_array(x, point, out=None):
         return point
 
-    # each shape keeps project_many in its own namespace, so that per-class
-    # instrumentation can wrap it
+    # each shape keeps project and project_many in its own namespace, so that
+    # per-class instrumentation can wrap them
+    project = ConvexSet.project
     project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
@@ -270,8 +284,7 @@ class Ball(ConvexSet):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = self._check_dim(x)
+    def _project(self, x):
         d = x - self.center
         nd = _norm(d)
         if nd <= self.radius:
@@ -287,6 +300,7 @@ class Ball(ConvexSet):
         d += center
         return d
 
+    project = ConvexSet.project
     project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
@@ -350,8 +364,7 @@ class AxisBox(ConvexSet):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = self._check_dim(x)
+    def _project(self, x):
         return np.clip(x, self.lower, self.upper)
 
     @staticmethod
@@ -359,6 +372,7 @@ class AxisBox(ConvexSet):
         out = np.maximum(x, lower, out=out)
         return np.minimum(out, upper, out=out)
 
+    project = ConvexSet.project
     project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:
@@ -436,8 +450,7 @@ class Halfspace(ConvexSet):
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = self._check_dim(x)
+    def _project(self, x):
         excess = np.dot(self.normal, x) - self.offset
         if excess <= 0:
             return x.copy()
@@ -453,6 +466,7 @@ class Halfspace(ConvexSet):
         np.multiply(excess, normal, out=out)
         return np.subtract(x, out, out=out)
 
+    project = ConvexSet.project
     project_many = ConvexSet.project_many
 
     def support(self, direction) -> float:

@@ -30,6 +30,7 @@ batch once per point it visits.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,6 +105,15 @@ class InnerProblem:
 GAP_TOL = 1e-13
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, or ValueError naming ``name``: Python and numpy
+    integers pass (``operator.index``), floats and fractions do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_tolerance(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -117,7 +127,7 @@ class InnerConfig:
     step_tol: float = 1e-10  # fixed-point step norm
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _require_integer("max_iters", self.max_iters) < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         _require_tolerance("step_tol", self.step_tol)
 
@@ -163,17 +173,19 @@ def attraction_summary(batch: SetBatch, weights: np.ndarray, x: np.ndarray) -> A
     if _on_a_set(dists, x):
         return AttractionSummary(distance_sum, None, None)
     inv = weights / dists
-    return AttractionSummary(distance_sum, proj @ inv, float(inv.sum()))
+    return AttractionSummary(distance_sum, proj @ inv, float(np.add.reduce(inv)))
 
 
 def _on_a_set(dists: np.ndarray, x: np.ndarray) -> bool:
     """Whether a point ``x`` at ``dists`` from the sets is (numerically) on one."""
-    return dists.size > 0 and dists.min() <= membership_tol(x)
+    # np.minimum.reduce is what dists.min() calls, without the method's
+    # Python wrapper (np.add.reduce likewise stands for .sum())
+    return dists.size > 0 and np.minimum.reduce(dists) <= membership_tol(x)
 
 
 def _map_point(prob: InnerProblem, summary: AttractionSummary) -> np.ndarray | None:
     """The fixed-point map at the point that ``summary`` summarizes."""
-    if not prob.attractions:  # (0 + v) / (0 + lam) would turn -0.0 into 0.0
+    if not prob.batch.n_sets:  # (0 + v) / (0 + lam) would turn -0.0 into 0.0
         return prob.v / prob.lam
     if summary.pull is None:
         return None
@@ -256,7 +268,7 @@ def weiszfeld_solve(
     map is then built from it, with no pass of the batch.
     """
     cfg = cfg or InnerConfig()
-    project = prob.constraint.project
+    project = prob.constraint._project  # on the iteration's own vectors
     x = _require_feasible(prob, x0)
     maps = 1
     t = weiszfeld_map(prob, x) if summary is None else _map_point(prob, summary)
@@ -322,9 +334,9 @@ def _fixed_point_result(prob: InnerProblem, x: np.ndarray, maps: int) -> InnerRe
     else:  # off every set: the summary's map weights are the dual point's
         inv = prob.weights / dists
         slack = 0.0
-        summary = AttractionSummary(distance_sum, proj @ inv, float(inv.sum()))
+        summary = AttractionSummary(distance_sum, proj @ inv, float(np.add.reduce(inv)))
     z = prob.v - _residuals(x, proj) @ inv  # proj is spent from here
-    gap = _gap(prob, x, slack, z, prob.constraint.project(z / prob.lam))
+    gap = _gap(prob, x, slack, z, prob.constraint._project(z / prob.lam))
     return InnerResult(
         x=x,
         value=value,
@@ -373,7 +385,7 @@ def _dual_primal(prob: InnerProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``z = v - sum_i w_i u_i`` and the primal point ``P_C(z / lam)`` it
     determines (the minimizer of lam/2 |x|^2 - z.x over the constraint)."""
     z = prob.v - u @ prob.weights
-    return z, prob.constraint.project(z / prob.lam)
+    return z, prob.constraint._project(z / prob.lam)
 
 
 def _gap(prob: InnerProblem, x, slack: float, z, x_u) -> float:

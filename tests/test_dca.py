@@ -14,6 +14,7 @@ from dcloc import (
     NotInConstraint,
     ProblemInstance,
     Singleton,
+    SolveReport,
     WeightedSet,
     criticality_residual,
     dca_solve,
@@ -246,12 +247,17 @@ class TestDcaConfig:
         ({"lam": float("nan")}, "lambda must be finite and positive"),
         ({"lam": float("inf")}, "lambda must be finite and positive"),
         ({"max_outer": 0}, "max_outer must be at least 1"),
+        ({"max_outer": 1.5}, "max_outer must be an integer, got 1.5"),
+        ({"max_outer": 2.0}, "max_outer must be an integer, got 2.0"),
         ({"outer_step_tol": float("nan")}, "outer_step_tol must be finite"),
         ({"outer_step_tol": -1.0}, "outer_step_tol must be finite"),
     ])
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             DcaConfig(**kwargs)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert DcaConfig(max_outer=np.int32(4)).max_outer == 4
 
 
 class TestCriticalityResidual:
@@ -302,6 +308,22 @@ class TestMultiStart:
     def test_rejects_no_starts(self, n_starts):
         with pytest.raises(ValueError, match="at least one start"):
             multi_start_solve(line_instance(), n_starts=n_starts, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_starts": 2.0}, "n_starts must be an integer, got 2.0"),
+        ({"n_starts": 1.5}, "n_starts must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": None}, "seed must be an integer, got None"),
+    ])
+    def test_rejects_bad_counts_and_seeds(self, kwargs, message):
+        kwargs = {"n_starts": 2, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            multi_start_solve(line_instance(), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        report = multi_start_solve(line_instance(), n_starts=np.int64(2), seed=np.uint32(7))
+        assert_same_report(report, multi_start_solve(line_instance(), n_starts=2, seed=7))
 
     def test_builds_each_batch_once(self, fixtures_dir, monkeypatch):
         inst = ProblemInstance(
@@ -411,6 +433,56 @@ class TestHandedOverSummaries:
         assert {r.method_used for r in results} == {"weiszfeld"}
         assert len(passes) == sum(r.iterations for r in results) + len(fresh)
         assert len(fresh) < len(results)
+
+
+def assert_same_report(a: SolveReport, b: SolveReport) -> None:
+    """``a`` and ``b`` agree field by field, floats and arrays bit for bit."""
+    assert a.final_x.tobytes() == b.final_x.tobytes()
+    for name in ("final_value", "outer_iterations", "termination", "criticality_residual",
+                 "inner_methods_used"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert (a.trajectory is None) == (b.trajectory is None)
+    for row_a, row_b in zip(a.trajectory or [], b.trajectory or [], strict=True):
+        assert (row_a.k, row_a.f_value, row_a.step_norm) == (row_b.k, row_b.f_value, row_b.step_norm)
+        assert row_a.x.tobytes() == row_b.x.tobytes()
+        assert (row_a.y is None) == (row_b.y is None)
+        assert row_a.y is None or row_a.y.tobytes() == row_b.y.tobytes()
+
+
+class TestMultiStartResidual:
+    """``multi_start_solve`` runs its starts without the criticality residual
+    and solves for it once, for the start it returns."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_one_residual_solve_and_the_best_starts_report(self, fixtures_dir, monkeypatch, record):
+        cfg = DcaConfig(record_trajectory=record)
+        solves, starts = [], []
+        solve_inner, iterate = dca.solve_inner, dca._iterate
+
+        def counting_solve(prob, x, cfg, **kwargs):
+            solves.append(x)
+            return solve_inner(prob, x, cfg, **kwargs)
+
+        def recording_iterate(inst, x0, cfg):
+            run = iterate(inst, x0, cfg)
+            starts.append((np.array(x0), run[0]))
+            return run
+
+        monkeypatch.setattr(dca, "solve_inner", counting_solve)
+        monkeypatch.setattr(dca, "_iterate", recording_iterate)
+        distinct_ends = 0
+        for inst, _ in summary_cases(fixtures_dir):
+            solves.clear()
+            starts.clear()
+            report = multi_start_solve(inst, cfg, n_starts=3, seed=5)
+            assert len(starts) == 3
+            assert len(solves) == sum(r.outer_iterations for _, r in starts) + 1
+            # the first start of least value, then of least final point, wins
+            x0, _ = min(starts, key=lambda s: (s[1].final_value, tuple(s[1].final_x)))
+            assert_same_report(report, dca_solve(inst, x0, cfg))
+            distinct_ends += len({r.final_x.tobytes() for _, r in starts}) > 1
+        # starts that end apart tell the winner's residual from a loser's
+        assert distinct_ends >= 10
 
 
 class TestBadStarts:

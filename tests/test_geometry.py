@@ -43,6 +43,50 @@ class TestProject:
             Ball([0, 0], 1.0).project([1, 2, 3])
 
 
+@st.composite
+def sets_and_points(draw):
+    """A set of a random family in dimension 1 to 4 (parameters within 10 of
+    the origin) and points inside it, on its boundary and outside it."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+    kind = draw(st.sampled_from(["point", "ball", "box", "halfspace"]))
+    if kind == "point":
+        s = Singleton(draw(vector))
+    elif kind == "ball":
+        s = Ball(draw(vector), draw(st.floats(0.1, 5.0)))
+    elif kind == "box":
+        a, b = draw(vector), draw(vector)
+        s = AxisBox(np.minimum(a, b), np.maximum(a, b))
+    else:
+        normal = draw(vector.filter(lambda v: v @ v >= 1e-3))
+        s = Halfspace(normal, draw(st.floats(-10.0, 10.0)))
+    if kind == "halfspace":  # normal . outside = offset + 1
+        outside = s.normal * ((s.offset + 1.0) / (s.normal @ s.normal))
+    else:  # beyond every bounded set above
+        outside = np.full(n, 25.0)
+    on = s.project(outside)
+    inside = s.selection_point()
+    return s, [draw(vector), outside, on, inside, 0.5 * (on + inside)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_points())
+def test_private_projection_is_public_projection(case):
+    """Each family's formula gives its public projection bit for bit, in a
+    new array; the public methods alone check the input's shape."""
+    s, points = case
+    for x in points:
+        proj = s._project(x)
+        assert proj.tobytes() == s.project(x).tobytes()
+        assert not any(np.shares_memory(proj, a) for a in (x, *s._key()))
+    n = s.dim
+    for method in (s.project, s.distance, s.contains):
+        with pytest.raises(DimensionMismatch):
+            method(np.zeros(n + 1))
+        with pytest.raises(GeometryError):
+            method(np.zeros((n, 1)))
+
+
 class TestConstruction:
     @pytest.mark.parametrize("make", [
         lambda: Singleton([0.0, NAN]),

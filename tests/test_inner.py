@@ -366,12 +366,17 @@ class TestInnerConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"step_tol": INF}, "step_tol must be finite"),
         ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": 3.0}, "max_iters must be an integer, got 3.0"),
         ({"step_tol": float("nan")}, "step_tol must be finite"),
         ({"step_tol": -1e-3}, "step_tol must be finite"),
     ])
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             InnerConfig(**kwargs)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert InnerConfig(max_iters=np.int64(7)).max_iters == 7
 
 
 def certified(result: InnerResult) -> bool:

@@ -357,6 +357,15 @@ class TestCliSolve:
         assert code == EXIT_VALIDATION
         assert "--starts must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, fixtures_dir, capsys):
+        code = main([
+            "solve",
+            "--instance", str(fixtures_dir / "line_between_halfplanes.json"),
+            "--starts", "3", "--seed", "-1",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows, ball, message", [
         ("1,2\n3,4,5\n", "0,0,10", "row 2 has 3 coordinates, the first data row has 2"),
         ("1,2\n3,4\n", "0,10", "constraint set dimension 1 != instance dimension 2"),
@@ -545,3 +554,10 @@ class TestCliGen:
         assert (d1 / "group_b.csv").read_text() == (d2 / "group_b.csv").read_text()
         assert len(load_points_csv(d1 / "group_a.csv")) == 40
         assert len(load_points_csv(d1 / "group_b.csv")) == 10
+
+    @pytest.mark.parametrize("option", ["--seed", "--group-a", "--group-b"])
+    def test_negative_value_is_validation_error(self, tmp_path, capsys, option):
+        code = main(["gen", "--out-dir", str(tmp_path), option, "-5"])
+        assert code == EXIT_VALIDATION
+        assert f"{option} must be non-negative, got -5" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
