@@ -247,10 +247,10 @@ class TestDcaConfig:
         ({"lam": float("nan")}, "lambda must be finite and positive"),
         ({"lam": float("inf")}, "lambda must be finite and positive"),
         ({"max_outer": 0}, "max_outer must be at least 1"),
-        ({"max_outer": 1.5}, "max_outer must be an integer, got 1.5"),
-        ({"max_outer": 2.0}, "max_outer must be an integer, got 2.0"),
         ({"outer_step_tol": float("nan")}, "outer_step_tol must be finite"),
         ({"outer_step_tol": -1.0}, "outer_step_tol must be finite"),
+        ({"max_outer": 1.5}, "max_outer must be an integer, got 1.5"),
+        ({"max_outer": 2.0}, "max_outer must be an integer, got 2.0"),
     ])
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

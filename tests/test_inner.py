@@ -366,10 +366,10 @@ class TestInnerConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"step_tol": INF}, "step_tol must be finite"),
         ({"max_iters": 0}, "max_iters must be at least 1"),
-        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
-        ({"max_iters": 3.0}, "max_iters must be an integer, got 3.0"),
         ({"step_tol": float("nan")}, "step_tol must be finite"),
         ({"step_tol": -1e-3}, "step_tol must be finite"),
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": 3.0}, "max_iters must be an integer, got 3.0"),
     ])
     def test_rejects_bad_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
