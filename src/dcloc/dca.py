@@ -196,7 +196,13 @@ def _start_point(inst: ProblemInstance, x0) -> np.ndarray:
     return x
 
 
-def dca_solve(inst: ProblemInstance, x0, cfg: DcaConfig | None = None) -> SolveReport:
+def dca_solve(
+    inst: ProblemInstance,
+    x0,
+    cfg: DcaConfig | None = None,
+    *,
+    _final_summary: list | None = None,
+) -> SolveReport:
     """Iterate the DCA image map S with a safeguarded secant step until its
     residual drops below ``outer_step_tol``.
 
@@ -229,14 +235,12 @@ def dca_solve(inst: ProblemInstance, x0, cfg: DcaConfig | None = None) -> SolveR
 
     ``x0`` must be a finite vector of the instance's dimension (else
     ValueError) in the constraint set (else ``NotInConstraint``).
+
+    ``_final_summary`` is for ``multi_start_solve``: given a list, the
+    summaries of the final point are appended to it and the criticality
+    residual is left NaN, for the caller to compute from them.
     """
     cfg = cfg or DcaConfig()
-    return _with_residual(inst, cfg, *_iterate(inst, x0, cfg))
-
-
-def _iterate(inst: ProblemInstance, x0, cfg: DcaConfig) -> tuple[SolveReport, _PointSummary]:
-    """``dca_solve``'s iteration from ``x0``: its report, whose criticality
-    residual is left NaN, and the summaries of its final point."""
     lam = cfg.lam
     x = _start_point(inst, x0)
     methods: list[str] = []
@@ -299,7 +303,7 @@ def _iterate(inst: ProblemInstance, x0, cfg: DcaConfig) -> tuple[SolveReport, _P
     at_t = summary_of(image_x)
     final_value = at_t.value
     keep(t, y, final_value, res)
-    return SolveReport(
+    report = SolveReport(
         final_x=t,
         final_value=final_value,
         outer_iterations=solves,
@@ -307,7 +311,11 @@ def _iterate(inst: ProblemInstance, x0, cfg: DcaConfig) -> tuple[SolveReport, _P
         criticality_residual=math.nan,
         trajectory=trajectory,
         inner_methods_used=methods,
-    ), at_t
+    )
+    if _final_summary is None:
+        return _with_residual(inst, cfg, report, at_t)
+    _final_summary.append(at_t)
+    return report
 
 
 def _with_residual(
@@ -362,9 +370,9 @@ def multi_start_solve(
     is deterministic: best objective value, ties broken by lexicographically
     smallest final iterate.
 
-    Each start runs ``dca_solve``'s iteration without the criticality
-    residual; the best start's report and the summaries of its final point
-    are kept, and the residual is computed once, for that start, from them.
+    Each start runs ``dca_solve`` without the criticality residual; the best
+    start's report and the summaries of its final point are kept, and the
+    residual is computed once, for that start, from them.
     So the returned report equals, field by field, ``dca_solve``'s from the
     best start, at one inner solve beyond the starts' ``outer_iterations``.
     """
@@ -386,9 +394,11 @@ def multi_start_solve(
     rng = np.random.Generator(np.random.Philox(seed))
     best = None  # the best start's report and the summaries of its final point
     for _ in range(n_starts):
-        run = _iterate(inst, inst.constraint.project(rng.uniform(lo, hi)), cfg)
-        if best is None or _report_better(run[0], best[0]):
-            best = run
+        x0 = inst.constraint.project(rng.uniform(lo, hi))
+        at_final: list[_PointSummary] = []
+        report = dca_solve(inst, x0, cfg, _final_summary=at_final)
+        if best is None or _report_better(report, best[0]):
+            best = report, at_final[0]
     return _with_residual(inst, cfg, *best)
 
 

@@ -72,10 +72,8 @@ def _norm(d: np.ndarray) -> float:
 def membership_tol(x: np.ndarray) -> float:
     """Scale-aware default tolerance for membership tests."""
     # np.linalg.norm(x) takes the norm of x.ravel(order="K"), and a strided x
-    # would sum in another order; a contiguous vector is its own ravel
-    if x.ndim != 1 or not x.flags.c_contiguous:
-        x = x.ravel(order="K")
-    return 1e-9 * (1.0 + _norm(x))
+    # would sum in another order
+    return 1e-9 * (1.0 + _norm(x.ravel(order="K")))
 
 
 def coordinate_norms(

@@ -190,9 +190,6 @@ class SetBatch:
     def projections(self, x: np.ndarray) -> np.ndarray:
         """(n, m) array with column i the projection of the point ``x`` onto set i."""
         col = x[:, None]
-        if len(self._groups) == 1:  # the kernel's result, as _assemble returns it
-            kind, _, params = self._groups[0]
-            return kind._project_array(col, *params)
         return self._assemble(
             lambda kind, where, params: kind._project_array(col, *params),
             (len(x), self.n_sets),

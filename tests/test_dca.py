@@ -457,25 +457,25 @@ class TestMultiStartResidual:
     def test_one_residual_solve_and_the_best_starts_report(self, fixtures_dir, monkeypatch, record):
         cfg = DcaConfig(record_trajectory=record)
         solves, starts = [], []
-        solve_inner, iterate = dca.solve_inner, dca._iterate
+        solve_inner, solve = dca.solve_inner, dca.dca_solve
 
         def counting_solve(prob, x, cfg, **kwargs):
             solves.append(x)
             return solve_inner(prob, x, cfg, **kwargs)
 
-        def recording_iterate(inst, x0, cfg):
-            run = iterate(inst, x0, cfg)
-            starts.append((np.array(x0), run[0]))
-            return run
+        def recording_solve(inst, x0, cfg, **kwargs):
+            report = solve(inst, x0, cfg, **kwargs)
+            starts.append((np.array(x0), report))
+            return report
 
         monkeypatch.setattr(dca, "solve_inner", counting_solve)
-        monkeypatch.setattr(dca, "_iterate", recording_iterate)
+        monkeypatch.setattr(dca, "dca_solve", recording_solve)
         distinct_ends = 0
         for inst, _ in summary_cases(fixtures_dir):
             solves.clear()
             starts.clear()
             report = multi_start_solve(inst, cfg, n_starts=3, seed=5)
-            assert len(starts) == 3
+            assert len(starts) == 3  # each start is a dca_solve call
             assert len(solves) == sum(r.outer_iterations for _, r in starts) + 1
             # the first start of least value, then of least final point, wins
             x0, _ = min(starts, key=lambda s: (s[1].final_value, tuple(s[1].final_x)))
