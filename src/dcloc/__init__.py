@@ -19,6 +19,7 @@ from .model import (
     ExistenceReport,
     ProblemInstance,
     SetGroup,
+    ValidationError,
     WeightedSet,
     evaluate_objective,
     evaluate_objective_many,

@@ -25,6 +25,7 @@ from .geometry import (
     Singleton,
     membership_tol,
 )
+from .model import ValidationError
 
 __all__ = [
     "SpecialInstance",
@@ -54,9 +55,9 @@ class SpecialInstance:
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
         if not (self.alpha >= self.beta > 0):
-            raise ValueError("weights must satisfy alpha >= beta > 0")
+            raise ValidationError("weights must satisfy alpha >= beta > 0")
         if self.omega.dim != self.theta.dim:
-            raise ValueError("attraction and repulsion sets of different dimension")
+            raise ValidationError("attraction and repulsion sets of different dimension")
 
     @property
     def dim(self) -> int:
@@ -209,12 +210,13 @@ def solve_reduced_max(inst: SpecialInstance, tol: float = 1e-9) -> list[np.ndarr
                 raise GeometryError("an arc maximizes: centre on a repeller edge or corner")
             signs = np.where(faces < inst.dim, -r, r)  # lower faces, then upper
             return [c + s * np.eye(inst.dim)[k] for s, k in zip(signs, axes)]
-        if isinstance(theta, Halfspace):
-            away = theta.normal
-        else:  # a ball's centre or the point
-            away = c - theta.selection_point()
-            if math.hypot(*away) <= tol:
-                raise GeometryError("every boundary point maximizes: repeller at the centre")
+    # the exact direction: near the boundary c - P(c) may be rounding noise
+    if isinstance(theta, Halfspace):
+        away = theta.normal
+    elif not isinstance(theta, AxisBox):  # a ball's centre or the point
+        away = c - theta.selection_point()
+        if math.hypot(*away) <= tol:
+            raise GeometryError("every boundary point maximizes: repeller at the centre")
     return [c + (r / math.hypot(*away)) * away]
 
 

@@ -25,8 +25,7 @@ import numpy as np
 from . import analysis, dca, instance_io, oracle
 from .geometry import Ball, GeometryError
 from .inner import InnerConfig, NotInConstraint
-from .model import ProblemInstance, _constraint_meetings, existence_classify, require_valid
-from .model import validate_instance  # noqa: F401  bench/tracing.py wraps it by this name
+from .model import ProblemInstance, existence_classify, validate_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -40,6 +39,15 @@ def _parse_point(text: str) -> np.ndarray:
         raise instance_io.ParseError(f"bad coordinate list {text!r}")
     if not np.all(np.isfinite(point)):
         raise instance_io.ParseError(f"non-finite value in coordinate list {text!r}")
+    return point
+
+
+def _parse_instance_point(option: str, text: str, dim: int) -> np.ndarray:
+    point = _parse_point(text)
+    if point.shape != (dim,):
+        raise instance_io.ValidationError(
+            f"{option} has {point.size} coordinates, the instance has dimension {dim}"
+        )
     return point
 
 
@@ -83,8 +91,7 @@ def _load_solve_instance(args) -> ProblemInstance:
         constraint = Ball(parts[:-1], parts[-1])
     except GeometryError as exc:
         raise instance_io.ParseError(f"bad --constraint-ball: {exc}") from exc
-    dim = attractions[0].set.dim
-    return require_valid(ProblemInstance(dim, attractions, repulsions, constraint))
+    return ProblemInstance(attractions.dim, attractions, repulsions, constraint)
 
 
 def _require_nonnegative(option: str, value: int) -> None:
@@ -107,8 +114,7 @@ def _cmd_solve(args) -> int:
         raise instance_io.ValidationError(f"--starts must be at least 1, got {args.starts}")
     _require_nonnegative("--seed", args.seed)
     inst = _load_solve_instance(args)
-    # the loaders have checked the structure; only the constraint meetings remain
-    warnings = _constraint_meetings(inst)
+    warnings = validate_instance(inst)
     try:
         cfg = dca.DcaConfig(
             lam=args.lam,
@@ -124,11 +130,7 @@ def _cmd_solve(args) -> int:
             inst, cfg, n_starts=args.starts, seed=args.seed
         )
     else:
-        x0 = _parse_point(args.x0)
-        if x0.shape != (inst.dimension,):
-            raise instance_io.ValidationError(
-                f"--x0 has {x0.size} coordinates, the instance has dimension {inst.dimension}"
-            )
+        x0 = _parse_instance_point("--x0", args.x0, inst.dimension)
         report = dca.dca_solve(inst, x0, cfg)
     if args.trajectory and report.trajectory is not None:
         _write_trajectory(args.trajectory, report.trajectory, inst.dimension)
@@ -180,7 +182,8 @@ def _cmd_classify(args) -> int:
         alpha=inst.attractions[0].weight,
         beta=inst.repulsions[0].weight,
     )
-    result = analysis.classify_point(special, _parse_point(args.point), tol=args.tol)
+    point = _parse_instance_point("--point", args.point, inst.dimension)
+    result = analysis.classify_point(special, point, tol=args.tol)
     _emit(
         {
             "stationary": result.stationary,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import AxisBox, Ball, ConvexSet, Halfspace, Singleton
-from .model import ProblemInstance, SetGroup, ValidationError, WeightedSet, require_valid
+from .model import ProblemInstance, SetGroup, ValidationError, WeightedSet
 
 __all__ = [
     "ParseError",
@@ -108,7 +108,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad instance document: {exc}") from exc
-    return require_valid(ProblemInstance(dimension, attractions, repulsions, constraint))
+    return ProblemInstance(dimension, attractions, repulsions, constraint)
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:

@@ -2,8 +2,9 @@
 
 The objective is a weighted sum of distances to attraction sets minus a
 weighted sum of distances to repulsion sets, minimized over a constraint set.
-With negative weights present the problem is a d.c. program; the split into
-two convex components (each augmented by a quadratic term) lives here as well.
+The weights are positive (``ProblemInstance`` checks its structure when built),
+so with repulsion sets the problem is a d.c. program; the split into two
+convex components (each augmented by a quadratic term) lives here as well.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "evaluate_split",
     "existence_classify",
     "ValidationError",
-    "structural_problems",
-    "require_valid",
     "validate_instance",
 ]
 
@@ -235,18 +234,49 @@ class SetBatch:
         )
 
 
+class ValidationError(ValueError):
+    """Structurally parseable but semantically invalid instance."""
+
+
 @dataclass(eq=False)
 class ProblemInstance:
     """Weighted attraction/repulsion sets plus a constraint set.
 
-    The set batches and weight arrays are built on first use and cached, so
-    the sets and weights must not be changed after the instance is used.
+    Construction raises ``ValidationError`` naming every problem, set by set
+    with the attractions first: a weight that is not strictly positive, a set
+    or the constraint of another dimension, no attraction sets.  The check
+    runs on arrays, so a ``SetGroup`` builds no set for it.  The set batches
+    and weight arrays are built on first use and cached, so the sets and
+    weights must not be changed after construction.
     """
 
     dimension: int
     attractions: Sequence[WeightedSet]
     repulsions: Sequence[WeightedSet]
     constraint: ConvexSet
+
+    def __post_init__(self):
+        def wrong_dim(dim):
+            return f"set dimension {dim} != instance dimension {self.dimension}"
+
+        problems = []
+        for label, group in (("attraction", self.attractions), ("repulsion", self.repulsions)):
+            # the weight arrays are left to first use: built here, they would
+            # raise the peak memory of a CSV solve's diagnostics
+            bad_weight = _weights_of(group) <= 0  # weights are finite
+            dims = _dims_of(group)
+            bad_dim = dims != self.dimension
+            for i in (bad_weight | bad_dim).nonzero()[0].tolist():
+                if bad_weight[i]:
+                    problems.append(f"{label} {i}: weight must be strictly positive")
+                if bad_dim[i]:
+                    problems.append(f"{label} {i}: {wrong_dim(dims[i])}")
+        if self.constraint.dim != self.dimension:
+            problems.append(f"constraint {wrong_dim(self.constraint.dim)}")
+        if not self.attractions:
+            problems.append("instance has no attraction sets")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     def __eq__(self, other):
         if not isinstance(other, ProblemInstance):
@@ -275,8 +305,8 @@ class ProblemInstance:
         return _weights_of(self.repulsions)
 
 
-# A SetGroup hands its stacked parameters and its one weight to these two
-# without building a set.
+# A SetGroup hands its stacked parameters, its one weight and its dimension
+# to these three without building a set.
 
 def _batch_of(weighted: Sequence[WeightedSet]) -> SetBatch:
     """The ``SetBatch`` of the sets of a weighted sequence."""
@@ -288,6 +318,12 @@ def _weights_of(weighted: Sequence[WeightedSet]) -> np.ndarray:
     if isinstance(weighted, SetGroup):
         return _read_only(np.full(len(weighted), weighted.weight))
     return _read_only(np.array([w.weight for w in weighted]))
+
+
+def _dims_of(weighted: Sequence[WeightedSet]) -> np.ndarray:
+    if isinstance(weighted, SetGroup):
+        return np.full(len(weighted), weighted.dim)
+    return np.array([w.set.dim for w in weighted], dtype=int)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -501,59 +537,14 @@ def existence_classify(inst: ProblemInstance) -> ExistenceReport:
     return report
 
 
-class ValidationError(ValueError):
-    """Structurally parseable but semantically invalid instance."""
-
-
-def structural_problems(inst: ProblemInstance) -> list[str]:
-    """No attractions, nonpositive weights, and sets of the wrong dimension."""
-    problems = []
-    for label, group in (("attraction", inst.attractions), ("repulsion", inst.repulsions)):
-        if isinstance(group, SetGroup) and group.weight > 0 and group.dim == inst.dimension:
-            continue  # nothing to report set by set
-        for i, w in enumerate(group):
-            if not w.weight > 0:
-                problems.append(f"{label} {i}: weight must be strictly positive")
-            if w.set.dim != inst.dimension:
-                problems.append(
-                    f"{label} {i}: set dimension {w.set.dim} != instance "
-                    f"dimension {inst.dimension}"
-                )
-    if inst.constraint.dim != inst.dimension:
-        problems.append(
-            f"constraint set dimension {inst.constraint.dim} != instance "
-            f"dimension {inst.dimension}"
-        )
-    if not inst.attractions:
-        problems.append("instance has no attraction sets")
-    return problems
-
-
-def require_valid(inst: ProblemInstance) -> ProblemInstance:
-    """``inst``, or ValidationError naming all its structural problems."""
-    problems = structural_problems(inst)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return inst
-
-
 def validate_instance(inst: ProblemInstance) -> list[str]:
-    """Collect human-readable diagnostics; empty list means no findings.
-
-    Structural problems stop the check.  Otherwise it reports the attraction
-    sets that meet the constraint set, where the fixed-point inner solver may
-    be inapplicable.
-    """
-    return structural_problems(inst) or _constraint_meetings(inst)
-
-
-def _constraint_meetings(inst: ProblemInstance) -> list[str]:
-    """``validate_instance``'s findings on a structurally valid instance: the
-    attraction sets that meet the constraint set, found by at most 25 rounds
-    of alternating projections run on all sets at once (they reach a common
-    point when the sets meet).  A round that returns its input bit for bit
-    is a fixed point, which every later round would repeat, so the rounds
-    stop there."""
+    """The attraction sets that meet the constraint set, where the
+    fixed-point inner solver may be inapplicable; an empty list means no
+    findings.  (Construction has checked the structure.)  The meetings are
+    found by at most 25 rounds of alternating projections run on all sets at
+    once (they reach a common point when the sets meet).  A round that
+    returns its input bit for bit is a fixed point, which every later round
+    would repeat, so the rounds stop there."""
     batch = inst.attraction_batch
     project_constraint = inst.constraint.project_many
     # the start points as C-ordered (m, n) rows: on another layout a

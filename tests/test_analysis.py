@@ -240,6 +240,22 @@ def test_ball_maximizers_beat_boundary_samples(kind, data, tol):
     assert values.max() <= best + 1e-12 * (1 + best)
 
 
+@pytest.mark.parametrize("center, theta", [
+    # centres 5.5e-14 and 7.1e-16 outside the repeller
+    ([1.0, 1e-13], Halfspace([1.5, 1.0], 1.5)),
+    ([-0.45763160137618947, 2.0937874645877863],
+     Ball([0.13573073406713437, 2.310363486795888], 0.6316518301392302)),
+])
+def test_ball_maximizer_next_to_the_repeller_boundary(center, theta):
+    """A ball attractor centred just outside the repeller is maximized along
+    the exact outward direction, not along c - P(c), which there is rounding
+    noise: the reported value is d(c) + r, up to rounding."""
+    inst = SpecialInstance(Ball(center, 1.0), theta, alpha=2.0)
+    (top,) = solve_reduced_max(inst, 0.0)
+    expected = theta.distance(inst.omega.center) + 1.0
+    assert abs(theta.distance(top) - expected) <= 1e-14
+
+
 def reduced_max_by_enumeration(inst: SpecialInstance, tol: float) -> list[np.ndarray]:
     """The box maximizers from every vertex: those within the cut of the
     best, after a test of every edge next to one of them."""

@@ -502,6 +502,44 @@ class TestCliClassify:
         ])
         assert code == EXIT_VALIDATION
 
+    def test_wrong_point_dimension(self, fixtures_dir, capsys):
+        code = main([
+            "classify",
+            "--instance", str(fixtures_dir / "segment_vs_point.json"),
+            "--point", "1,2,3",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "--point has 3 coordinates, the instance has dimension 2" in capsys.readouterr().err
+
+    def test_repulsion_heavier_than_attraction(self, fixtures_dir, tmp_path, capsys):
+        doc = json.loads((fixtures_dir / "segment_vs_point.json").read_text())
+        doc["repulsions"][0]["weight"] = 5.0
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        code = main(["classify", "--instance", str(path), "--point", "2,0"])
+        assert code == EXIT_VALIDATION
+        assert "weights must satisfy alpha >= beta > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["existence"],
+    ["classify", "--point", "0,0"],
+    ["oracle", "--grid=-1..1@5"],
+])
+def test_invalid_instance_exits_2_from_every_subcommand(fixtures_dir, capsys, command):
+    """Every subcommand that reads ``--instance`` refuses an invalid one at
+    load, with one message naming all its problems."""
+    path = fixtures_dir / "invalid_weight_and_dimension.json"
+    code = main([command[0], "--instance", str(path), *command[1:]])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: attraction 0: set dimension 3 != instance dimension 2; "
+        "repulsion 0: weight must be strictly positive\n"
+    )
+
 
 class TestCliOracle:
     def test_grid_agrees_with_solver(self, fixtures_dir, capsys):

@@ -13,6 +13,7 @@ from dcloc import (
     Halfspace,
     ProblemInstance,
     Singleton,
+    ValidationError,
     WeightedSet,
     evaluate_objective,
     evaluate_objective_many,
@@ -25,7 +26,7 @@ from dcloc.dca import _repulsion_pass
 from dcloc.geometry import coordinate_norms, membership_tol
 from dcloc.inner import InnerProblem, phi, weiszfeld_map
 from dcloc.instance_io import load_points_csv
-from dcloc.model import SetBatch
+from dcloc.model import SetBatch, SetGroup
 from conftest import random_instance, random_set
 
 INF = np.inf
@@ -325,10 +326,94 @@ class TestValidateInstance:
         ]
 
     def test_zero_weight_flagged(self):
-        inst = ProblemInstance(
-            2, [WeightedSet(Singleton([5.0, 0.0]), 0.0)], [], Ball([0, 0], 1.0)
-        )
-        assert any("weight" in d for d in validate_instance(inst))
+        with pytest.raises(ValidationError, match="weight"):
+            ProblemInstance(2, [WeightedSet(Singleton([5.0, 0.0]), 0.0)], [], Ball([0, 0], 1.0))
+
+
+def as_group_or_list(form, points, weight):
+    """Singletons at the rows of ``points`` with one weight, as a
+    ``SetGroup`` or as a plain list of weighted sets."""
+    points = np.array(points, dtype=float)
+    if form == "group":
+        return SetGroup(Singleton, (points,), weight)
+    return [WeightedSet(Singleton(p), weight) for p in points]
+
+
+class TestConstruction:
+    """``ProblemInstance`` checks its structure when it is built, for lists
+    and for groups alike, and names every problem."""
+
+    @pytest.mark.parametrize("form", ["list", "group"])
+    @pytest.mark.parametrize("points, weight, message", [
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1.0,
+         "attraction 0: set dimension 3 != instance dimension 2; "
+         "attraction 1: set dimension 3 != instance dimension 2"),
+        ([[1.0, 2.0], [3.0, 4.0]], 0.0,
+         "attraction 0: weight must be strictly positive; "
+         "attraction 1: weight must be strictly positive"),
+        ([[1.0, 2.0]], -1.5, "attraction 0: weight must be strictly positive"),
+    ])
+    def test_defect_raises(self, form, points, weight, message):
+        attractions = as_group_or_list(form, points, weight)
+        with pytest.raises(ValidationError) as caught:
+            ProblemInstance(2, attractions, [], Ball([0, 0], 1.0))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("form", ["list", "group"])
+    def test_every_problem_in_order(self, form):
+        """Per set the weight before the dimension, attractions before
+        repulsions, then the constraint and the missing attractions."""
+        with pytest.raises(ValidationError) as caught:
+            ProblemInstance(
+                2, [], as_group_or_list(form, [[1.0, 2.0, 3.0]], -1.0), Ball([0, 0, 0], 1.0)
+            )
+        assert str(caught.value).split("; ") == [
+            "repulsion 0: weight must be strictly positive",
+            "repulsion 0: set dimension 3 != instance dimension 2",
+            "constraint set dimension 3 != instance dimension 2",
+            "instance has no attraction sets",
+        ]
+
+
+def structural_problems_by_loop(n, attractions, repulsions, constraint):
+    """Reference for the construction check: one set at a time."""
+    problems = []
+    for label, group in (("attraction", attractions), ("repulsion", repulsions)):
+        for i, w in enumerate(group):
+            if not w.weight > 0:
+                problems.append(f"{label} {i}: weight must be strictly positive")
+            if w.set.dim != n:
+                problems.append(
+                    f"{label} {i}: set dimension {w.set.dim} != instance dimension {n}"
+                )
+    if constraint.dim != n:
+        problems.append(f"constraint set dimension {constraint.dim} != instance dimension {n}")
+    if not attractions:
+        problems.append("instance has no attraction sets")
+    return problems
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4))
+def test_construction_check_matches_set_by_set_loop(seed, m_attr, m_rep):
+    """The array check names the problems of a set-by-set loop, in its order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+
+    def weighted(count):
+        return [
+            WeightedSet(random_set(rng, n + int(rng.integers(0, 2))), rng.choice([-1.0, 0.0, 1.5]))
+            for _ in range(count)
+        ]
+
+    fields = (n, weighted(m_attr), weighted(m_rep), random_set(rng, n + int(rng.integers(0, 2))))
+    expected = structural_problems_by_loop(*fields)
+    if not expected:
+        ProblemInstance(*fields)
+        return
+    with pytest.raises(ValidationError) as caught:
+        ProblemInstance(*fields)
+    assert str(caught.value) == "; ".join(expected)
 
 
 FAMILIES = ("point", "ball", "box", "halfspace")

@@ -12,6 +12,7 @@ from dcloc import (
     Halfspace,
     ProblemInstance,
     Singleton,
+    ValidationError,
     WeightedSet,
     existence_classify,
     validate_instance,
@@ -49,7 +50,7 @@ def report_fields(report):
 @pytest.mark.parametrize("shape,half_side", FOOTPRINTS)
 def test_csv_solve_reads_groups_as_arrays(fixtures_dir, tmp_path, monkeypatch, shape, half_side):
     """A CSV solve reads its groups as arrays from load to report: it builds
-    one set, the first attraction, for the instance's dimension."""
+    no set, since the instance's dimension is the group's."""
     built = []
     for cls in (Singleton, AxisBox, WeightedSet):
         def counted(self, original=cls.__post_init__):
@@ -64,10 +65,10 @@ def test_csv_solve_reads_groups_as_arrays(fixtures_dir, tmp_path, monkeypatch, s
         "--output", str(tmp_path / "report.json"),
     ])
     assert code == EXIT_OK
-    assert built == ["Singleton" if shape == "point" else "AxisBox", "WeightedSet"]
+    assert built == []
     # the counters do count: reading a group builds its sets
     list(load_points_csv(fixtures_dir / "group_b.csv", shape=shape, half_side=half_side))
-    assert len(built) == 2 + 2 * 120
+    assert len(built) == 2 * 120
 
 
 def fixture_pair(fixtures_dir, shape, half_side, constraint):
@@ -81,6 +82,13 @@ def fixture_pair(fixtures_dir, shape, half_side, constraint):
         ProblemInstance(2, a, b, constraint),
         ProblemInstance(2, as_list(a), as_list(b), constraint),
     )
+
+
+def construction_problems(*fields):
+    """The problems that building ``ProblemInstance(*fields)`` names."""
+    with pytest.raises(ValidationError) as caught:
+        ProblemInstance(*fields)
+    return str(caught.value).split("; ")
 
 
 class TestGroupMatchesList:
@@ -110,10 +118,8 @@ class TestGroupMatchesList:
             for name in ("group_a.csv", "group_b.csv")
         )
         constraint = Ball([30.0, -160.0], 30.0)
-        grouped = ProblemInstance(2, a, b, constraint)
-        listed = ProblemInstance(2, as_list(a), as_list(b), constraint)
-        findings = validate_instance(grouped)
-        assert findings == validate_instance(listed)
+        findings = construction_problems(2, a, b, constraint)
+        assert findings == construction_problems(2, as_list(a), as_list(b), constraint)
         assert len(findings) == 1097 + 120
         assert findings[0] == "attraction 0: weight must be strictly positive"
         assert findings[-1] == "repulsion 119: weight must be strictly positive"
@@ -124,9 +130,9 @@ class TestGroupMatchesList:
         a = load_points_csv(fixtures_dir / "group_a.csv")
         b = load_points_csv(wide)
         constraint = Ball([30.0, -160.0], 30.0)
-        grouped = ProblemInstance(2, a, b, constraint)
-        listed = ProblemInstance(2, as_list(a), as_list(b), constraint)
-        assert validate_instance(grouped) == validate_instance(listed) == [
+        assert construction_problems(2, a, b, constraint) == construction_problems(
+            2, as_list(a), as_list(b), constraint
+        ) == [
             "repulsion 0: set dimension 3 != instance dimension 2",
             "repulsion 1: set dimension 3 != instance dimension 2",
         ]
@@ -190,6 +196,23 @@ class TestGroupChecks:
         group = SetGroup(AxisBox, ([[-np.inf, 0.0]], [[np.inf, 0.0]]), 2)
         assert group.weight == 2.0 and type(group.weight) is float
         assert group[0] == WeightedSet(AxisBox([-np.inf, 0.0], [np.inf, 0.0]), 2.0)
+
+    def test_large_group_checked_without_building_sets(self, monkeypatch):
+        """Building an instance checks a 10^5-row group as arrays: no
+        ``WeightedSet`` is read, for a valid group or for an invalid one."""
+        def no_item(self, index):
+            raise AssertionError("a set was built")
+
+        monkeypatch.setattr(SetGroup, "__getitem__", no_item)
+        rows = np.random.default_rng(0).normal(size=(10**5, 2))
+        inst = ProblemInstance(2, SetGroup(Singleton, (rows,), 1.0), [], Ball([0.0, 0.0], 1.0))
+        assert len(inst.attractions) == 10**5
+        assert construction_problems(
+            3, SetGroup(AxisBox, (rows, rows + 1.0), -1.0), [], Ball([0.0, 0.0, 0.0], 1.0)
+        )[:2] == [
+            "attraction 0: weight must be strictly positive",
+            "attraction 0: set dimension 2 != instance dimension 3",
+        ]
 
     def test_refused_shapes(self):
         with pytest.raises(TypeError):
