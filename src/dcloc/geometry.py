@@ -120,6 +120,12 @@ class ConvexSet:
     Construction rejects NaN anywhere and infinities outside box bounds.
     """
 
+    # whether coordinate k of a projection depends only on coordinate k of
+    # the point and row k of the point-like parameters (and the family has
+    # no scalar ones), so that a squared distance is a sum of per-coordinate
+    # terms: see ``model.SetBatch.coordinate_terms``
+    separable = False
+
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x)
         if x.shape[0] != self.dim:
@@ -232,6 +238,8 @@ class Singleton(ConvexSet):
     @property
     def dim(self) -> int:
         return self.point.shape[0]
+
+    separable = True
 
     def _project(self, x):
         return self.point.copy()
@@ -361,6 +369,8 @@ class AxisBox(ConvexSet):
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
+
+    separable = True
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)

@@ -233,6 +233,31 @@ class SetBatch:
             block, (pts.shape[0], self.n_sets), None if out is None else out[0]
         )
 
+    @property
+    def separable(self) -> bool:
+        """Whether every family's projection acts coordinate by coordinate
+        (``ConvexSet.separable``), as ``coordinate_terms`` needs."""
+        return all(kind.separable for kind, _, _ in self._groups)
+
+    def coordinate_terms(self, k: int, values: np.ndarray) -> np.ndarray:
+        """(N, m) squared residuals along coordinate ``k`` of a separable
+        batch: entry (i, j) is (v - q_k)^2, where v is ``values[i]`` and q is
+        set j's projection of any point whose coordinate k is v.
+
+        They are formed with the ufuncs of ``distances_many``, in its order,
+        so summing one point's terms left to right over k = 0, ..., n - 1
+        gives, bit for bit, the sums whose square roots are its
+        ``distances_many`` row.
+        """
+        col = values[:, None]
+
+        def block(kind, where, params):
+            terms = np.subtract(col, kind._project_array(col, *(p[k] for p in params)))
+            terms *= terms
+            return terms
+
+        return self._assemble(block, (len(values), self.n_sets))
+
 
 class ValidationError(ValueError):
     """Structurally parseable but semantically invalid instance."""
@@ -353,9 +378,11 @@ _CHUNK_ELEMENTS = 1 << 17
 # rest with another, and numpy sends a one-row product to a third (a dot
 # product), so blocks of whole groups, with a lone last row kept in the block
 # before it, give every row the summation it has in one product over all
-# rows: the values do not depend on the block size, bit for bit (a BLAS
-# that splits one product over threads at other rows could still differ).
-# Eight also covers kernels that take eight rows at a time.
+# rows: the values do not depend on the block size, bit for bit.  Eight also
+# covers kernels that take eight rows at a time, and OpenBLAS on two threads
+# splits a product of whole groups at a whole group.  It may split a last
+# block of other lengths elsewhere, so that block's values can depend on its
+# length; oracle.grid_search evaluates such a block as it is.
 _ROW_GROUP = 8
 
 
@@ -376,6 +403,16 @@ def _row_blocks(total: int, rows: int):
         start = stop
 
 
+def _width(inst: ProblemInstance) -> int:
+    """Sets in the wider of the two batches, and at least one."""
+    return max(len(inst.attractions), len(inst.repulsions), 1)
+
+
+def _objective_block_rows(inst: ProblemInstance) -> int:
+    """Rows of an ``evaluate_objective_many`` block for ``inst``."""
+    return _block_rows(_CHUNK_ELEMENTS // (_width(inst) * inst.dimension))
+
+
 def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
     """Objective values for an (N, n) array of points.
 
@@ -391,8 +428,8 @@ def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarra
     n = inst.dimension
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points of shape {pts.shape} vs dimension {n}")
-    width = max(len(inst.attractions), len(inst.repulsions), 1)
-    rows = _block_rows(_CHUNK_ELEMENTS // (width * n))
+    width = _width(inst)
+    rows = _objective_block_rows(inst)
     work = np.empty(n * width * min(rows + 1, pts.shape[0]))
     vals = np.empty(pts.shape[0])
     for start, stop in _row_blocks(pts.shape[0], rows):
