@@ -373,16 +373,16 @@ def evaluate_objective(inst: ProblemInstance, x) -> float:
 # optimum here.  A block keeps at least _ROW_GROUP rows.
 _CHUNK_ELEMENTS = 1 << 17
 
-# Block lengths are whole multiples of this many rows.  OpenBLAS's
-# matrix-vector product sums rows four at a time with one kernel and the
-# rest with another, and numpy sends a one-row product to a third (a dot
-# product), so blocks of whole groups, with a lone last row kept in the block
-# before it, give every row the summation it has in one product over all
-# rows: the values do not depend on the block size, bit for bit.  Eight also
-# covers kernels that take eight rows at a time, and OpenBLAS on two threads
-# splits a product of whole groups at a whole group.  It may split a last
-# block of other lengths elsewhere, so that block's values can depend on its
-# length; oracle.grid_search evaluates such a block as it is.
+# Every matrix-vector product of bulk evaluation runs over whole multiples
+# of this many rows: a short last block is padded by repeating its last row.
+# OpenBLAS's matrix-vector product sums rows four at a time with one kernel
+# and the rest with another, numpy sends a one-row product to a third (a dot
+# product), and OpenBLAS on two threads splits a product of whole groups at
+# a whole group but other lengths elsewhere.  Over whole groups every row is
+# summed by the four-row kernel, so a row's value depends on neither the
+# block size, the BLAS thread count, nor the other rows of the call, bit for
+# bit (with OpenBLAS, whose kernels this was checked on).  Eight also covers
+# kernels that take eight rows at a time.
 _ROW_GROUP = 8
 
 
@@ -391,26 +391,9 @@ def _block_rows(rows: int) -> int:
     return max(_ROW_GROUP, rows - rows % _ROW_GROUP)
 
 
-def _row_blocks(total: int, rows: int):
-    """(start, stop) of consecutive blocks of ``rows`` of ``total`` rows; a
-    lone last row joins the block before it, which then has ``rows + 1``."""
-    start = 0
-    while start < total:
-        stop = start + rows
-        if stop >= total - 1:
-            stop = total
-        yield start, stop
-        start = stop
-
-
-def _width(inst: ProblemInstance) -> int:
-    """Sets in the wider of the two batches, and at least one."""
-    return max(len(inst.attractions), len(inst.repulsions), 1)
-
-
-def _objective_block_rows(inst: ProblemInstance) -> int:
-    """Rows of an ``evaluate_objective_many`` block for ``inst``."""
-    return _block_rows(_CHUNK_ELEMENTS // (_width(inst) * inst.dimension))
+def _whole_groups(rows: int) -> int:
+    """``rows`` rounded up to whole groups of ``_ROW_GROUP``."""
+    return -(-rows // _ROW_GROUP) * _ROW_GROUP
 
 
 def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarray:
@@ -419,22 +402,29 @@ def evaluate_objective_many(inst: ProblemInstance, pts: np.ndarray) -> np.ndarra
     The points are evaluated in blocks of rows.  A block has as many rows as
     fit ``_CHUNK_ELEMENTS`` points x sets x dimension, counting the wider of
     the attraction and repulsion batches, rounded down to whole groups of
-    ``_ROW_GROUP`` rows.  One work array of that size is allocated per call,
-    and every block's distances are computed in it, so each pass runs in
-    cache and memory stays bounded whatever N is.  The values do not depend
-    on the block size.
+    ``_ROW_GROUP`` rows; a short last block is padded to whole groups by
+    repeating its last row.  One work array of a block's size is allocated
+    per call, and every block's distances are computed in it, so each pass
+    runs in cache and memory stays bounded whatever N is.  A row's value
+    depends on neither the block size, the BLAS thread count, nor the other
+    rows of the call.
     """
     pts = np.asarray(pts, dtype=float)
     n = inst.dimension
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points of shape {pts.shape} vs dimension {n}")
-    width = _width(inst)
-    rows = _objective_block_rows(inst)
-    work = np.empty(n * width * min(rows + 1, pts.shape[0]))
-    vals = np.empty(pts.shape[0])
-    for start, stop in _row_blocks(pts.shape[0], rows):
-        _objective_rows(inst, pts[start:stop], work, vals[start:stop])
-    return vals
+    width = max(len(inst.attractions), len(inst.repulsions), 1)
+    rows = _block_rows(_CHUNK_ELEMENTS // (width * n))
+    padded = _whole_groups(pts.shape[0])
+    work = np.empty(n * width * min(rows, padded))
+    vals = np.empty(padded)
+    for start in range(0, pts.shape[0], rows):
+        block = pts[start:start + rows]
+        pad = _whole_groups(len(block)) - len(block)
+        if pad:  # only the last block can be short
+            block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
+        _objective_rows(inst, block, work, vals[start:start + len(block)])
+    return vals[:pts.shape[0]]
 
 
 def _objective_rows(inst: ProblemInstance, pts: np.ndarray, work: np.ndarray, out: np.ndarray):

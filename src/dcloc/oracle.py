@@ -6,16 +6,16 @@ grids from blowing up, and the result is deterministic including the
 tie-break (lexicographically smallest minimizer).
 
 Every grid point's value is the one ``evaluate_objective_many`` gives at its
-projection over the whole projected grid, bit for bit, but most are not
-computed there.  When every set in both batches is a singleton or an axis
-box (``SetBatch.separable``), a squared distance is a sum of one term per
-coordinate, and the grid points that the constraint's projection leaves in
-place are evaluated from per-axis tables (``SetBatch.coordinate_terms``):
-the last axis's terms once per tile of the grid, the leading coordinates'
-terms once per grid line, and a block of lines' distances with one
-broadcast add, one ``sqrt`` and one matrix-vector product per batch.  The
-points the projection moves, and every point of a batch with a ball or a
-halfspace, go through ``evaluate_objective_many``.
+projection, bit for bit, but most are not computed there.  When every set
+in both batches is a singleton or an axis box (``SetBatch.separable``), a
+squared distance is a sum of one term per coordinate, and the grid points
+that the constraint's projection leaves in place are evaluated from
+per-axis tables (``SetBatch.coordinate_terms``): the last axis's terms once
+per tile of the grid, the leading coordinates' terms once per grid line,
+and a block of lines' distances with one broadcast add, one ``sqrt`` and
+one matrix-vector product per batch.  The points the projection moves, and
+every point of a batch with a ball or a halfspace, go through
+``evaluate_objective_many``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .geometry import coordinate_norms
 from .inner import _require_integer
 from .model import (
     _CHUNK_ELEMENTS,
-    _ROW_GROUP,
     ProblemInstance,
     _block_rows,
-    _objective_block_rows,
+    _whole_groups,
     evaluate_objective,  # noqa: F401  bench/tracing.py wraps it by this name
     evaluate_objective_many,
 )
@@ -98,24 +97,22 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     Projection-then-evaluate keeps feasibility exact even when the constraint
     slices the grid region.  Ties are broken by the lexicographically smallest
     minimizer.  Each value is the one ``evaluate_objective_many`` gives at
-    the point's projection in one call over the whole projected grid, bit for
-    bit (with OpenBLAS, whose kernels this was checked on).
+    the point's projection, bit for bit (with OpenBLAS, whose kernels this
+    was checked on).
 
     The grid is walked in tiles: a run of grid lines (the points that share
     all coordinates but the last) times a segment of the last axis, with at
     most as many points as fill an eighth of ``model._CHUNK_ELEMENTS`` with
     coordinates.  Each tile is built and projected at once.  The points the
     projection moves, or all of them when a set batch is not separable, are
-    evaluated by one ``evaluate_objective_many`` call, padded to whole groups
-    of ``model._ROW_GROUP`` rows; that call's work array is freed before
-    the tables exist.  A separable instance's other points come from tables
-    of its squared coordinate residuals (see the module docstring): a tile's
-    tables and its block of lines' distances each fill at most half of
-    ``_CHUNK_ELEMENTS``, and every matrix-vector product runs over whole row
-    groups, padded by repeating a row.  The last rows of the grid, when the
-    whole-grid call would put them in a block of other than whole row
-    groups, are evaluated as that block.  So memory stays bounded whatever
-    the grid size.
+    evaluated by one ``evaluate_objective_many`` call, whose work array is
+    freed before the tables exist.  A separable instance's other points come
+    from tables of its squared coordinate residuals (see the module
+    docstring): a tile's tables and its block of lines' distances each fill
+    at most half of ``_CHUNK_ELEMENTS``, and every matrix-vector product runs
+    over whole groups of ``model._ROW_GROUP`` rows, padded by repeating a
+    row, as in ``evaluate_objective_many``.  So memory stays bounded
+    whatever the grid size.
     """
     n = inst.dimension
     if len(grid.lower) != n:
@@ -138,10 +135,9 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
     seg = min(p, tile_rows)
     if separable:
         seg = min(seg, max(1, _CHUNK_ELEMENTS // 2 // sum(b.n_sets for b, _ in batches)))
-    tail = _ragged_tail(total, _objective_block_rows(inst))
 
     best = _Best()
-    for lines, (a, b) in _tiles(p, n, seg, max(1, tile_rows // seg), tail):
+    for lines, (a, b) in _tiles(p, n, seg, max(1, tile_rows // seg)):
         idx = np.unravel_index(lines, (p,) * (n - 1)) if n > 1 else ()
         lead = [axis[i] for axis, i in zip(axes, idx)]
         last = axes[-1][a:b]
@@ -156,10 +152,6 @@ def grid_search(inst: ProblemInstance, grid: GridSpec) -> OracleResult:
             for k in range(1, n):
                 moved |= proj[:, k] != pts[:, k]
         best.add(pts, proj, _tile_values(inst, batches, lead, last, proj, moved))
-    if tail < total:
-        pts = _grid_rows(axes, tail, total)
-        proj = inst.constraint.project_many(pts)
-        best.add(pts, proj, evaluate_objective_many(inst, proj))
 
     if best.min_dist > float(np.linalg.norm(grid.upper - grid.lower)):
         raise EmptyIntersection("no grid point projects near the constraint set")
@@ -186,28 +178,14 @@ class _Best:
             self.rows.append(proj[vals == lo])
 
 
-def _ragged_tail(total: int, rows: int) -> int:
-    """Start of ``evaluate_objective_many``'s last block over ``total`` rows
-    in blocks of ``rows`` if that block is not whole row groups (its product
-    sums some rows with other kernels, which depend on its length), else
-    ``total``."""
-    start = (total - 1) // rows * rows
-    if start and total - start == 1:  # a lone last row joins the block before
-        start -= rows
-    return total if (total - start) % _ROW_GROUP == 0 else start
-
-
-def _tiles(p: int, n: int, seg: int, lines: int, stop: int):
-    """(line indices, (a, b)) of tiles covering the first ``stop`` rows of
-    the flattened "ij" grid of ``p**n`` points: runs of at most ``lines``
-    grid lines times segments [a, b) of at most ``seg`` points of the last
-    axis."""
-    whole, rest = divmod(stop, p)
+def _tiles(p: int, n: int, seg: int, lines: int):
+    """(line indices, (a, b)) of tiles covering the flattened "ij" grid of
+    ``p**n`` points: runs of at most ``lines`` of its ``p**(n - 1)`` grid
+    lines times segments [a, b) of at most ``seg`` points of the last axis."""
+    count = p ** (n - 1)
     for a in range(0, p, seg):
-        for first in range(0, whole, lines):
-            yield np.arange(first, min(first + lines, whole)), (a, min(a + seg, p))
-    for a in range(0, rest, seg):
-        yield np.arange(whole, whole + 1), (a, min(a + seg, rest))
+        for first in range(0, count, lines):
+            yield np.arange(first, min(first + lines, count)), (a, min(a + seg, p))
 
 
 def _tile_values(inst, batches, lead: list, last: np.ndarray, proj: np.ndarray,
@@ -216,10 +194,8 @@ def _tile_values(inst, batches, lead: list, last: np.ndarray, proj: np.ndarray,
     (see ``_table_values`` for ``lead`` and ``last``): the ``moved`` ones
     from ``evaluate_objective_many``, the others from the tables."""
     general = np.flatnonzero(moved)
-    if len(general):
-        # in whole row groups, and before the tables exist
-        padded = np.pad(general, (0, _whole_groups(len(general)) - len(general)), mode="edge")
-        general_vals = evaluate_objective_many(inst, proj[padded])[:len(general)]
+    if len(general):  # before the tables exist
+        general_vals = evaluate_objective_many(inst, proj[general])
     vals = np.empty(len(proj))
     if len(general) < len(proj):
         shape = (len(proj) // len(last), len(last))
@@ -269,14 +245,3 @@ def _table_values(batches, lead: list, last: np.ndarray, unmoved: np.ndarray, ou
             else:
                 vals[:groups] -= dists @ weights
         out[lines, a:b] = vals[:rows].reshape(len(lines), b - a)
-
-
-def _whole_groups(rows: int) -> int:
-    """``rows`` rounded up to whole groups of ``_ROW_GROUP``."""
-    return -(-rows // _ROW_GROUP) * _ROW_GROUP
-
-
-def _grid_rows(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Rows ``start`` to ``stop - 1`` of the flattened "ij" meshgrid of ``axes``."""
-    idx = np.unravel_index(np.arange(start, stop), [axis.size for axis in axes])
-    return np.column_stack([axis[i] for axis, i in zip(axes, idx)])

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcloc
 from dcloc import (
     AxisBox,
     Ball,
@@ -600,7 +605,10 @@ def test_batch_callers_match_scalar_reference(seed, counts, repulsion_counts, in
 
     alone = ProblemInstance(n, inst.attractions, [], free_space(n))
     batch, weights = alone.attraction_batch, alone.attraction_weights
-    part_many = batch.distances_many(pts) @ weights
+    # one product over the points padded to whole row groups, as bulk
+    # evaluation pads, by repeating the last point
+    padded = np.pad(pts, ((0, -len(pts) % model._ROW_GROUP), (0, 0)), mode="edge")
+    part_many = (batch.distances_many(padded) @ weights)[:len(pts)]
     assert evaluate_objective_many(alone, pts).tobytes() == part_many.tobytes()
     for x in pts:
         part, quad = float(weights @ batch.distances(x)), 0.5 * lam * float(x @ x)
@@ -626,9 +634,8 @@ def test_blocked_evaluation_matches_one_block(
 ):
     """Bulk values computed in blocks equal the one-block values bit for bit
     and the per-point objective to 1e-12, for every family, contiguous or
-    interleaved, with several blocks, a short last block, a lone last row
-    or a single point; the stacked batch parameters stay read-only and
-    unchanged."""
+    interleaved, with several blocks, a short last block or a single
+    point; the stacked batch parameters stay read-only and unchanged."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
 
@@ -658,3 +665,72 @@ def test_blocked_evaluation_matches_one_block(
         params = [p for _, _, params in batch._groups for p in params]
         assert not any(p.flags.writeable for p in params)
         assert all(np.array_equal(p, q) for p, q in zip(params, saved))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_value_does_not_depend_on_the_call(seed):
+    """A row's bulk value equals, bit for bit, the same row evaluated alone
+    and the same row when all points form one block, for every family,
+    contiguous or interleaved, with up to about 3000 sets: every
+    matrix-vector product runs over whole row groups, so a one-row call is
+    not sent to a dot product and a short last block is not summed apart."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+
+    def weighted(total):
+        counts = rng.multinomial(total, [0.25] * 4)
+        sets = [random_set(rng, n, kind=k) for k, c in zip(FAMILIES, counts) for _ in range(c)]
+        if seed % 2:
+            sets = [sets[i] for i in rng.permutation(len(sets))]
+        return [WeightedSet(s, float(rng.uniform(0.1, 3.0))) for s in sets]
+
+    inst = ProblemInstance(
+        n, weighted(int(rng.integers(500, 3000))), weighted(int(rng.integers(0, 200))),
+        free_space(n),
+    )
+    pts = rng.normal(scale=3.0, size=(int(rng.integers(9, 60)), n))
+    whole = evaluate_objective_many(inst, pts)
+    alone = np.array([evaluate_objective_many(inst, pts[i:i + 1])[0] for i in range(len(pts))])
+    assert alone.tobytes() == whole.tobytes()
+    with mock.patch.object(model, "_CHUNK_ELEMENTS", 1 << 40):
+        assert evaluate_objective_many(inst, pts).tobytes() == whole.tobytes()
+
+
+# 1605 points over 1217 + 120 singletons: default blocks of 48 rows leave a
+# last block of 21, and one block of 1605 rows is not whole row groups
+_THREAD_PROBE = """
+from unittest import mock
+import numpy as np
+from dcloc import AxisBox, ProblemInstance, Singleton, WeightedSet, evaluate_objective_many, model
+rng = np.random.default_rng(0)
+def weighted(m):
+    return [WeightedSet(Singleton(c), float(w))
+            for c, w in zip(rng.normal(scale=10.0, size=(m, 2)), rng.uniform(0.1, 3.0, m))]
+inst = ProblemInstance(2, weighted(1217), weighted(120), AxisBox([-np.inf] * 2, [np.inf] * 2))
+pts = rng.normal(scale=10.0, size=(1605, 2))
+print(evaluate_objective_many(inst, pts).tobytes().hex())
+with mock.patch.object(model, "_CHUNK_ELEMENTS", 1 << 40):
+    print(evaluate_objective_many(inst, pts).tobytes().hex())
+"""
+
+
+def test_bulk_values_do_not_depend_on_blas_threads():
+    """Bulk values are the same bytes in default blocks and in one block,
+    under one and two OpenBLAS threads, each in its own process: OpenBLAS
+    splits a product of whole row groups between its threads at a whole
+    group."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dcloc.__file__).parents[1]))
+    two_cores = len(os.sched_getaffinity(0)) >= 2
+    outputs = []
+    for threads in (1, 2) if two_cores else (1,):
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs += [np.frombuffer(bytes.fromhex(line), np.uint64) for line in run.stdout.split()]
+    assert len(outputs) == (4 if two_cores else 2)
+    for got in outputs[1:]:
+        assert np.flatnonzero(got != outputs[0]).tolist() == []  # the rows that differ
+    if not two_cores:
+        pytest.skip("two BLAS threads need two cores; only the one-thread half ran")

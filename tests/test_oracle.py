@@ -266,9 +266,9 @@ def _constraint(rng, n, moves, spacing):
     return Ball(np.full(n, -3.0 + 0.5 * spacing), 0.25 * spacing)
 
 
-# points per axis: grids of 301, 1369, 1331 and 1296 points, so that the
-# last evaluation block of the whole grid is 5, 1 (a lone row), 3 and 0
-# rows past whole row groups
+# points per axis: grids of 301, 1369, 1331 and 1296 points, 5, 1, 3 and 0
+# rows past whole row groups, so that the brute-force call pads its last
+# block by 3, 7, 5 and 0 rows
 _POINTS = {1: 301, 2: 37, 3: 11, 4: 6}
 
 
@@ -329,13 +329,11 @@ def test_grid_values_match_brute_force(monkeypatch, n, families, moves):
         order = np.lexsort(pts.T[::-1])  # the grid's own row order
         assert pts[order].tobytes() == grid.tobytes()
         assert vals[order].tobytes() == want.tobytes()
-        # a separable instance leaves to evaluate_objective_many only the
-        # moved points, each call padded to whole row groups, and the ragged
-        # last block of the whole grid
+        # a separable instance leaves to evaluate_objective_many exactly the
+        # moved points
         moved = int(np.any(proj != grid, axis=1).sum())
         assert moved == {"none": 0, "all": p**n}.get(moves, moved)
-        tail = p**n - oracle._ragged_tail(p**n, model._objective_block_rows(inst))
         if separable:
-            assert moved <= sum(general_rows) <= moved + tail + 7 * len(general_rows)
+            assert sum(general_rows) == moved
         else:
             assert sum(general_rows) >= p**n
